@@ -407,7 +407,7 @@ Result<LedgerEntry> BudgetLedger::Charge(const std::string& dataset,
     return Status::InvalidArgument("charge id must not contain whitespace");
   }
 
-  Status st = internal::EnsureDir(root_ + "/ledger");
+  Status st = internal::EnsureDir(root_ + "/ledger", fs());
   if (!st.ok()) return st;
   auto lock = FileLock::Acquire(LockPath(dataset), options_.lock);
   if (!lock.ok()) return lock.status();

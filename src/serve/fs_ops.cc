@@ -86,14 +86,13 @@ class SystemFsOpsImpl : public FsOps {
     return Status::OK();
   }
 
-  Status Link(const std::string& from, const std::string& to) override {
-    if (::link(from.c_str(), to.c_str()) != 0) {
-      if (errno == EEXIST) {
-        return Status::IoError("link target exists: " + to);
-      }
-      return Errno("cannot link " + from + " to", to);
+  Result<bool> MakeDir(const std::string& path) override {
+    if (::mkdir(path.c_str(), 0755) == 0) return true;
+    if (errno == EEXIST) return false;
+    if (errno == ENOENT) {
+      return Status::NotFound("no parent directory for " + path);
     }
-    return Status::OK();
+    return Errno("cannot create directory", path);
   }
 
   Status Remove(const std::string& path) override {
@@ -175,11 +174,6 @@ class SystemFsOpsImpl : public FsOps {
 };
 
 }  // namespace
-
-bool FsOps::IsAlreadyExists(const Status& status) {
-  return !status.ok() &&
-         status.message().find("link target exists") != std::string::npos;
-}
 
 FsOps* SystemFsOps() {
   static SystemFsOpsImpl* ops = new SystemFsOpsImpl();
@@ -319,18 +313,9 @@ Status FaultInjectionFsOps::Rename(const std::string& from,
   return Status::OK();
 }
 
-Status FaultInjectionFsOps::Link(const std::string& from,
-                                 const std::string& to) {
+Result<bool> FaultInjectionFsOps::MakeDir(const std::string& path) {
   if (!Begin()) return InjectedCrash();
-  Status st = base_->Link(from, to);
-  if (!st.ok()) return st;
-  const FileState& source = Track(from);
-  FileState target;
-  target.synced_size = source.synced_size;
-  target.current_size = source.current_size;
-  target.dirent_synced = false;
-  files_[to] = std::move(target);
-  return Status::OK();
+  return base_->MakeDir(path);
 }
 
 Status FaultInjectionFsOps::Remove(const std::string& path) {

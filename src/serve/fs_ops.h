@@ -1,6 +1,6 @@
 // The filesystem-operation seam under the durability layer. Everything the
 // WAL, the budget ledger and the store's atomic-write helper do to disk —
-// open/write/fsync/close/rename/link/remove/truncate, plus the directory
+// open/write/fsync/close/rename/remove/truncate/mkdir, plus the directory
 // fsyncs that make renames and creates durable — goes through this virtual
 // interface, so crash-recovery code paths can be tested against a fault-
 // injecting double (short writes, failed fsyncs, a simulated crash at every
@@ -45,9 +45,10 @@ class FsOps {
   [[nodiscard]] virtual Status Fsync(int fd) = 0;
   [[nodiscard]] virtual Status Close(int fd) = 0;
   [[nodiscard]] virtual Status Rename(const std::string& from, const std::string& to) = 0;
-  /// Hard link; EEXIST surfaces as a Status whose message contains
-  /// "exists" — callers that use link(2) to claim ids probe for that.
-  [[nodiscard]] virtual Status Link(const std::string& from, const std::string& to) = 0;
+  /// mkdir(2), mode 0755. True when this call created the directory, false
+  /// when the name already existed; NotFound when the parent is missing.
+  /// The new entry is not durable until its parent is FsyncDir'd.
+  [[nodiscard]] virtual Result<bool> MakeDir(const std::string& path) = 0;
   [[nodiscard]] virtual Status Remove(const std::string& path) = 0;
   [[nodiscard]] virtual Status Truncate(const std::string& path, std::uint64_t size) = 0;
   /// Fsyncs the directory itself, making created/renamed/removed entries
@@ -68,10 +69,6 @@ class FsOps {
       const std::string& path) = 0;
   /// The file's full contents. NotFound when it does not exist.
   [[nodiscard]] virtual Result<std::string> ReadFile(const std::string& path) = 0;
-
-  /// True when Link failed because the target already exists (the id-claim
-  /// protocol's "lost the race" signal).
-  static bool IsAlreadyExists(const Status& status);
 };
 
 /// The real POSIX implementation; stateless, shared, never deleted.
@@ -119,7 +116,7 @@ class FaultInjectionFsOps : public FsOps {
   [[nodiscard]] Status Fsync(int fd) override;
   [[nodiscard]] Status Close(int fd) override;
   [[nodiscard]] Status Rename(const std::string& from, const std::string& to) override;
-  [[nodiscard]] Status Link(const std::string& from, const std::string& to) override;
+  [[nodiscard]] Result<bool> MakeDir(const std::string& path) override;
   [[nodiscard]] Status Remove(const std::string& path) override;
   [[nodiscard]] Status Truncate(const std::string& path, std::uint64_t size) override;
   [[nodiscard]] Status FsyncDir(const std::string& dir) override;

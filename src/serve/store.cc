@@ -1,13 +1,9 @@
 #include "serve/store.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <set>
 
 #include "serve/store_manifest.h"
@@ -20,23 +16,33 @@ namespace serve {
 
 namespace internal {
 
+namespace {
+
+/// The directory holding `path` ("." for a bare name, "/" for "/x").
+std::string ParentDir(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+}  // namespace
+
+/// Leaf first: the common case (the directory exists) is one MakeDir.
 /// Racing creators are fine — EEXIST is success.
-Status EnsureDir(const std::string& path) {
-  std::string prefix;
-  std::size_t pos = 0;
-  while (pos <= path.size()) {
-    std::size_t next = path.find('/', pos);
-    if (next == std::string::npos) next = path.size();
-    prefix = path.substr(0, next);
-    if (!prefix.empty() && prefix != "." && prefix != "..") {
-      if (::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-        return Status::IoError("cannot create directory " + prefix + ": " +
-                               std::strerror(errno));
-      }
-    }
-    pos = next + 1;
+Status EnsureDir(const std::string& path, FsOps* fs) {
+  if (fs == nullptr) fs = SystemFsOps();
+  std::string dir = path;
+  while (dir.size() > 1 && dir.back() == '/') dir.pop_back();
+  auto made = fs->MakeDir(dir);
+  if (!made.ok() && made.status().code() == StatusCode::kNotFound) {
+    const std::string parent = ParentDir(dir);
+    if (parent == dir) return made.status();
+    Status st = EnsureDir(parent, fs);
+    if (!st.ok()) return st;
+    made = fs->MakeDir(dir);
   }
-  return Status::OK();
+  if (!made.ok()) return made.status();
+  return made.ValueOrDie() ? fs->FsyncDir(ParentDir(dir)) : Status::OK();
 }
 
 Status WriteViaRename(const std::string& path, const std::string& bytes,
@@ -64,11 +70,7 @@ Status WriteViaRename(const std::string& path, const std::string& bytes,
     return st;
   }
   // Make the new directory entry itself durable.
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? "."
-                              : (slash == 0 ? "/" : path.substr(0, slash));
-  return fs->FsyncDir(dir);
+  return fs->FsyncDir(ParentDir(path));
 }
 
 }  // namespace internal
@@ -86,16 +88,21 @@ std::string IdName(std::size_t id) {
   return buf;
 }
 
-/// Parses "<digits>.release" (exactly the IdName format); false otherwise.
+/// Parses "<digits>.release" (exactly the IdName format); false otherwise,
+/// including for digits past the size_t range — a stray name must never
+/// wrap onto a real id.
 bool ParseIdName(const char* name, std::size_t* id) {
   const char* dot = std::strchr(name, '.');
   if (dot == nullptr || std::strcmp(dot, ".release") != 0 || dot == name) {
     return false;
   }
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   std::size_t v = 0;
   for (const char* p = name; p < dot; ++p) {
     if (*p < '0' || *p > '9') return false;
-    v = v * 10 + static_cast<std::size_t>(*p - '0');
+    const auto digit = static_cast<std::size_t>(*p - '0');
+    if (v > (kMax - digit) / 10) return false;
+    v = v * 10 + digit;
   }
   *id = v;
   return true;
@@ -133,6 +140,33 @@ std::vector<std::size_t> ReleaseIdsIn(FsOps* fs, const std::string& dir) {
   return ids;
 }
 
+/// Every (key, id) release file under `releases_dir` ("<dir>/<key>/<id>").
+std::vector<std::pair<std::string, std::size_t>> ReleaseFilesUnder(
+    FsOps* fs, const std::string& releases_dir) {
+  std::vector<std::pair<std::string, std::size_t>> found;
+  auto keys = fs->ListDir(releases_dir);
+  if (!keys.ok()) return found;
+  for (const std::string& key : keys.ValueOrDie()) {
+    for (std::size_t id : ReleaseIdsIn(fs, releases_dir + "/" + key)) {
+      found.emplace_back(key, id);
+    }
+  }
+  return found;
+}
+
+/// Strategy keys with a "<key>.strategy" file under `strategies_dir`.
+std::vector<std::string> StrategyKeysUnder(FsOps* fs,
+                                           const std::string& strategies_dir) {
+  std::vector<std::string> found;
+  auto names = fs->ListDir(strategies_dir);
+  if (!names.ok()) return found;
+  for (const std::string& name : names.ValueOrDie()) {
+    const std::string key = StrategyKeyOf(name);
+    if (!key.empty()) found.push_back(key);
+  }
+  return found;
+}
+
 /// Appends one record to a shard manifest WAL, truncating a torn tail
 /// first. `manifest` must be the replay of that WAL (its valid size bounds
 /// the append position); on OK the record is durable.
@@ -150,6 +184,43 @@ Status AppendManifestRecord(const std::string& manifest_path,
   Status closed = w.Close();
   if (st.ok()) st = closed;
   return st;
+}
+
+// The retired flat v1 layout: <root>/strategies/<key>.strategy and
+// <root>/releases/<key>/<id>.release. Only the open-time refusal below and
+// StatStore/CompactStore look at these paths.
+
+std::string FlatStrategiesDir(const std::string& root) {
+  return root + "/strategies";
+}
+
+std::string FlatReleasesDir(const std::string& root) {
+  return root + "/releases";
+}
+
+/// True when the flat v1 directories hold an artifact compaction would
+/// re-home. Anything else there (empty key directories left by a completed
+/// upgrade, temp files of an interrupted flat-era write) is ignored, so the
+/// refusal below always ends with the upgrade.
+bool FlatArtifactsPresent(const std::string& root, FsOps* fs) {
+  return !StrategyKeysUnder(fs, FlatStrategiesDir(root)).empty() ||
+         !ReleaseFilesUnder(fs, FlatReleasesDir(root)).empty();
+}
+
+/// The layout a store serves from: StoreLayout::Resolve, refused with
+/// InvalidArgument while flat v1 artifacts remain (the files are left
+/// untouched; only the offline upgrade may move them).
+Result<StoreLayout> OpenLayout(const std::string& root, std::size_t shards,
+                               FsOps* fs) {
+  auto resolved = StoreLayout::Resolve(root, shards, fs);
+  if (!resolved.ok()) return resolved.status();
+  if (FlatArtifactsPresent(root, fs)) {
+    return Status::InvalidArgument(
+        "store at " + root + " holds artifacts in the retired flat v1 "
+        "layout; upgrade it offline with `dpmm_cli store compact --store " +
+        root + "`");
+  }
+  return resolved;
 }
 
 }  // namespace
@@ -200,7 +271,7 @@ StrategyStore::StrategyStore(std::string root, const StoreOptions& options)
 
 Status StrategyStore::EnsureLayoutLocked() const {
   if (layout_.has_value() || !layout_status_.ok()) return layout_status_;
-  auto resolved = StoreLayout::Resolve(root_, requested_shards_, fs_);
+  auto resolved = OpenLayout(root_, requested_shards_, fs_);
   if (!resolved.ok()) {
     layout_status_ = resolved.status();
     return layout_status_;
@@ -219,40 +290,31 @@ Status StrategyStore::Put(const serialize::StrategyArtifact& artifact) {
   MutexLock lock(&mu_);
   Status st = EnsureLayoutLocked();
   if (!st.ok()) return st;
-  if (layout_->sharded()) {
-    // Pin the shard count before the first artifact lands, so a crash
-    // between the two cannot leave sharded files under an unpinned root.
-    st = layout_->Persist(fs_);
-    if (!st.ok()) return st;
-  }
+  // Pin the shard count before the first artifact lands, so a crash
+  // between the two cannot leave shard files under an unpinned root.
+  st = layout_->Persist(fs_);
+  if (!st.ok()) return st;
   const StoreLayout layout = *layout_;
   lock.Unlock();
 
   const std::string key = StoreKey(artifact.signature);
   const std::string bytes = serialize::EncodeStrategyArtifact(artifact);
-  if (!layout.sharded()) {
-    st = EnsureDir(root_ + "/strategies");
+  const std::size_t shard = layout.ShardOf(key);
+  st = EnsureDir(layout.ShardDir(shard) + "/strategies", fs_);
+  if (!st.ok()) return st;
+  auto shard_lock = FileLock::Acquire(layout.LockPath(shard), lock_options_);
+  if (!shard_lock.ok()) return shard_lock.status();
+  st = WriteViaRename(layout.StrategyPath(key), bytes, fs_);
+  if (!st.ok()) return st;
+  auto manifest = ShardManifest::Load(layout.ManifestPath(shard), fs_);
+  if (!manifest.ok()) return manifest.status();
+  // Overwriting an existing strategy needs no new record: the manifest
+  // tracks presence, not versions (strategies have one file per key).
+  if (!manifest.ValueOrDie().HasStrategy(key)) {
+    st = AppendManifestRecord(layout.ManifestPath(shard),
+                              manifest.ValueOrDie(),
+                              ShardManifest::StrategyRecord(key), fs_);
     if (!st.ok()) return st;
-    st = WriteViaRename(layout.FlatStrategyPath(key), bytes, fs_);
-    if (!st.ok()) return st;
-  } else {
-    const std::size_t shard = layout.ShardOf(key);
-    st = EnsureDir(layout.ShardDir(shard) + "/strategies");
-    if (!st.ok()) return st;
-    auto shard_lock = FileLock::Acquire(layout.LockPath(shard), lock_options_);
-    if (!shard_lock.ok()) return shard_lock.status();
-    st = WriteViaRename(layout.StrategyPath(key), bytes, fs_);
-    if (!st.ok()) return st;
-    auto manifest = ShardManifest::Load(layout.ManifestPath(shard), fs_);
-    if (!manifest.ok()) return manifest.status();
-    // Overwriting an existing strategy needs no new record: the manifest
-    // tracks presence, not versions (strategies have one file per key).
-    if (!manifest.ValueOrDie().HasStrategy(key)) {
-      st = AppendManifestRecord(layout.ManifestPath(shard),
-                                manifest.ValueOrDie(),
-                                ShardManifest::StrategyRecord(key), fs_);
-      if (!st.ok()) return st;
-    }
   }
   ArtifactWrites()->Add(1);
   lock.Lock();
@@ -270,19 +332,12 @@ Result<std::shared_ptr<const serialize::StrategyArtifact>> StrategyStore::Get(
   if (auto* hit = cache_.Get(signature)) return *hit;
   lock.Unlock();
 
-  const std::string key = StoreKey(signature);
-  std::string path = layout.StrategyPath(key);
+  const std::string path = layout.StrategyPath(StoreKey(signature));
   auto bytes = fs_->ReadFile(path);
-  if (!bytes.ok() && bytes.status().code() == StatusCode::kNotFound &&
-      layout.migrating()) {
-    // Not yet re-homed: fall through to the v1 flat location.
-    path = layout.FlatStrategyPath(key);
-    bytes = fs_->ReadFile(path);
-  }
   if (!bytes.ok()) {
     if (bytes.status().code() == StatusCode::kNotFound) {
       return Status::NotFound("no stored strategy for '" + signature +
-                              "' (expected " + layout.StrategyPath(key) + ")");
+                              "' (expected " + path + ")");
     }
     return bytes.status();
   }
@@ -305,14 +360,13 @@ Result<std::shared_ptr<const serialize::StrategyArtifact>> StrategyStore::Get(
   return artifact;
 }
 
-bool StrategyStore::Contains(const std::string& signature) const {
+Result<bool> StrategyStore::Contains(const std::string& signature) const {
   MutexLock lock(&mu_);
-  if (!EnsureLayoutLocked().ok()) return false;
+  Status st = EnsureLayoutLocked();
+  if (!st.ok()) return st;
   const StoreLayout layout = *layout_;
   lock.Unlock();
-  const std::string key = StoreKey(signature);
-  if (ExistsVia(fs_, layout.StrategyPath(key))) return true;
-  return layout.migrating() && ExistsVia(fs_, layout.FlatStrategyPath(key));
+  return ExistsVia(fs_, layout.StrategyPath(StoreKey(signature)));
 }
 
 std::size_t StrategyStore::cache_size() const {
@@ -336,7 +390,7 @@ ReleaseStore::ReleaseStore(std::string root, const StoreOptions& options)
 
 Status ReleaseStore::EnsureLayoutLocked() const {
   if (layout_.has_value() || !layout_status_.ok()) return layout_status_;
-  auto resolved = StoreLayout::Resolve(root_, requested_shards_, fs_);
+  auto resolved = OpenLayout(root_, requested_shards_, fs_);
   if (!resolved.ok()) {
     layout_status_ = resolved.status();
     return layout_status_;
@@ -345,25 +399,20 @@ Status ReleaseStore::EnsureLayoutLocked() const {
   return Status::OK();
 }
 
-std::vector<std::size_t> ReleaseStore::List(const std::string& signature) const {
+Result<std::vector<std::size_t>> ReleaseStore::List(
+    const std::string& signature) const {
   MutexLock lock(&mu_);
-  if (!EnsureLayoutLocked().ok()) return {};
+  Status st = EnsureLayoutLocked();
+  if (!st.ok()) return st;
   const StoreLayout layout = *layout_;
   lock.Unlock();
-  const std::string key = StoreKey(signature);
-  std::vector<std::size_t> ids = ReleaseIdsIn(fs_, layout.ReleaseDir(key));
-  if (layout.migrating()) {
-    const std::vector<std::size_t> flat =
-        ReleaseIdsIn(fs_, layout.FlatReleaseDir(key));
-    ids.insert(ids.end(), flat.begin(), flat.end());
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  }
-  return ids;
+  return ReleaseIdsIn(fs_, layout.ReleaseDir(StoreKey(signature)));
 }
 
 Result<std::size_t> ReleaseStore::LatestId(const std::string& signature) const {
-  const std::vector<std::size_t> ids = List(signature);
+  auto listed = List(signature);
+  if (!listed.ok()) return listed.status();
+  const std::vector<std::size_t>& ids = listed.ValueOrDie();
   if (ids.empty()) {
     return Status::NotFound("no stored releases for '" + signature + "'");
   }
@@ -378,60 +427,19 @@ Result<std::size_t> ReleaseStore::Put(
   MutexLock lock(&mu_);
   Status st = EnsureLayoutLocked();
   if (!st.ok()) return st;
-  if (layout_->sharded()) {
-    st = layout_->Persist(fs_);
-    if (!st.ok()) return st;
-  }
+  st = layout_->Persist(fs_);
+  if (!st.ok()) return st;
   const StoreLayout layout = *layout_;
   lock.Unlock();
 
+  // Exclusive shard lock -> durable artifact write -> fsync'd manifest
+  // append -> ack. The manifest record carries the supersession decision;
+  // the artifact carries the same fact in its v3 field so it stays
+  // self-describing without its manifest.
   const std::string key = StoreKey(artifact.signature);
-  if (!layout.sharded()) {
-    // v1 protocol: write the bytes to a process-unique temp file, then
-    // claim the next free id with link(2), which fails with EEXIST when a
-    // concurrent writer took that id first — a plain list-then-rename
-    // would let two racing Put calls pick the same id and silently clobber
-    // one paid-for release. The linked file is always complete (link is
-    // atomic on the finished temp file).
-    const std::string dir = layout.FlatReleaseDir(key);
-    st = EnsureDir(dir);
-    if (!st.ok()) return st;
-    static std::atomic<unsigned> tmp_counter{0};
-    const std::string tmp = dir + "/put." + std::to_string(::getpid()) + "." +
-                            std::to_string(tmp_counter++) + ".claim";
-    st = WriteViaRename(tmp, serialize::EncodeReleaseArtifact(artifact), fs_);
-    if (!st.ok()) return st;
-    const std::vector<std::size_t> ids = ReleaseIdsIn(fs_, dir);
-    std::size_t id = ids.empty() ? 0 : ids.back() + 1;
-    std::string path;
-    for (;;) {
-      path = dir + "/" + IdName(id);
-      Status linked = fs_->Link(tmp, path);
-      if (linked.ok()) break;
-      if (!FsOps::IsAlreadyExists(linked)) {
-        DPMM_IGNORE_STATUS(fs_->Remove(tmp),
-                           "cleanup after a link that already failed; the "
-                           "link error is returned below");
-        return linked;
-      }
-      ++id;
-    }
-    DPMM_IGNORE_STATUS(fs_->Remove(tmp),
-                       "the release is already durably linked under its id; "
-                       "a leftover claim file is cosmetic");
-    ArtifactWrites()->Add(1);
-    lock.Lock();
-    cache_.Put(path, std::make_shared<serialize::ReleaseArtifact>(artifact));
-    return id;
-  }
-
-  // Sharded protocol: exclusive shard lock -> durable artifact write ->
-  // fsync'd manifest append -> ack. The manifest record carries the
-  // supersession decision; the artifact carries the same fact in its v3
-  // field so it stays self-describing without its manifest.
   const std::size_t shard = layout.ShardOf(key);
   const std::string dir = layout.ReleaseDir(key);
-  st = EnsureDir(dir);
+  st = EnsureDir(dir, fs_);
   if (!st.ok()) return st;
   auto shard_lock = FileLock::Acquire(layout.LockPath(shard), lock_options_);
   if (!shard_lock.ok()) return shard_lock.status();
@@ -439,20 +447,21 @@ Result<std::size_t> ReleaseStore::Put(
   if (!loaded.ok()) return loaded.status();
   const ShardManifest& manifest = loaded.ValueOrDie();
 
-  // Allocate past every id ever seen — manifest history, files in the
-  // shard, and (while migrating) flat v1 files — so ids are never reused
-  // even for superseded generations.
-  std::size_t id = 0;
-  if (auto max_known = manifest.MaxIdFor(key)) {
-    id = static_cast<std::size_t>(*max_known) + 1;
-  }
+  // Allocate past every id ever seen — manifest history and files in the
+  // shard — so ids are never reused even for superseded generations. The
+  // successor of the largest id does not exist: refuse rather than wrap
+  // onto id 0 and overwrite a paid-for release.
+  std::optional<std::size_t> highest = manifest.MaxIdFor(key);
   const std::vector<std::size_t> shard_ids = ReleaseIdsIn(fs_, dir);
-  if (!shard_ids.empty()) id = std::max(id, shard_ids.back() + 1);
-  if (layout.migrating()) {
-    const std::vector<std::size_t> flat_ids =
-        ReleaseIdsIn(fs_, layout.FlatReleaseDir(key));
-    if (!flat_ids.empty()) id = std::max(id, flat_ids.back() + 1);
+  if (!shard_ids.empty()) {
+    highest = std::max(highest.value_or(0), shard_ids.back());
   }
+  if (highest == std::numeric_limits<std::size_t>::max()) {
+    return Status::DataLoss(
+        "release ids for '" + artifact.signature + "' are exhausted: " + dir +
+        " or its shard manifest records the largest representable id");
+  }
+  const std::size_t id = highest.has_value() ? *highest + 1 : 0;
 
   const std::string provenance =
       ShardManifest::ProvenanceToken(artifact.dataset, artifact.batch_index);
@@ -482,23 +491,16 @@ Result<std::shared_ptr<const serialize::ReleaseArtifact>> ReleaseStore::Get(
   MutexLock lock(&mu_);
   Status st = EnsureLayoutLocked();
   if (!st.ok()) return st;
-  const StoreLayout layout = *layout_;
-  const std::string key = StoreKey(signature);
-  const std::string primary = layout.ReleaseDir(key) + "/" + IdName(id);
-  if (auto* hit = cache_.Get(primary)) return *hit;
+  const std::string path =
+      layout_->ReleaseDir(StoreKey(signature)) + "/" + IdName(id);
+  if (auto* hit = cache_.Get(path)) return *hit;
   lock.Unlock();
 
-  std::string path = primary;
   auto bytes = fs_->ReadFile(path);
-  if (!bytes.ok() && bytes.status().code() == StatusCode::kNotFound &&
-      layout.migrating()) {
-    path = layout.FlatReleaseDir(key) + "/" + IdName(id);
-    bytes = fs_->ReadFile(path);
-  }
   if (!bytes.ok()) {
     if (bytes.status().code() == StatusCode::kNotFound) {
       return Status::NotFound("no stored release " + std::to_string(id) +
-                              " for '" + signature + "' (expected " + primary +
+                              " for '" + signature + "' (expected " + path +
                               ")");
     }
     return bytes.status();
@@ -517,9 +519,7 @@ Result<std::shared_ptr<const serialize::ReleaseArtifact>> ReleaseStore::Get(
   }
   ArtifactReads()->Add(1);
   lock.Lock();
-  // Cache under the primary path even when served from the flat fallback —
-  // the key a future lookup probes first.
-  cache_.Put(primary, artifact);
+  cache_.Put(path, artifact);
   return artifact;
 }
 
@@ -529,14 +529,9 @@ Status ReleaseStore::Tombstone(const std::string& signature, std::size_t id) {
   if (!st.ok()) return st;
   const StoreLayout layout = *layout_;
   lock.Unlock();
-  if (!layout.sharded()) {
-    return Status::InvalidArgument(
-        "tombstones need a sharded store (a flat v1 store has no manifest "
-        "to record the intent in)");
-  }
   const std::string key = StoreKey(signature);
   const std::size_t shard = layout.ShardOf(key);
-  st = EnsureDir(layout.ShardDir(shard));
+  st = EnsureDir(layout.ShardDir(shard), fs_);
   if (!st.ok()) return st;
   auto shard_lock = FileLock::Acquire(layout.LockPath(shard), lock_options_);
   if (!shard_lock.ok()) return shard_lock.status();
@@ -544,10 +539,7 @@ Status ReleaseStore::Tombstone(const std::string& signature, std::size_t id) {
   if (!loaded.ok()) return loaded.status();
   const ShardManifest& manifest = loaded.ValueOrDie();
   const bool known = manifest.FindRelease(key, id) != nullptr ||
-                     ExistsVia(fs_, layout.ReleaseDir(key) + "/" + IdName(id)) ||
-                     (layout.migrating() &&
-                      ExistsVia(fs_, layout.FlatReleaseDir(key) + "/" +
-                                         IdName(id)));
+                     ExistsVia(fs_, layout.ReleaseDir(key) + "/" + IdName(id));
   if (!known) {
     return Status::NotFound("no stored release " + std::to_string(id) +
                             " for '" + signature + "' to tombstone");
@@ -566,41 +558,9 @@ std::uint64_t ReleaseStore::cache_evictions() const {
   return cache_.evictions();
 }
 
-std::vector<std::size_t> ReleaseStore::ListDirIds(
-    const std::string& dir) const {
-  return ReleaseIdsIn(fs_, dir);
-}
-
 // ---- StatStore / CompactStore
 
 namespace {
-
-/// Every (key, id) release file under `releases_dir` ("<dir>/<key>/<id>").
-std::vector<std::pair<std::string, std::size_t>> ReleaseFilesUnder(
-    FsOps* fs, const std::string& releases_dir) {
-  std::vector<std::pair<std::string, std::size_t>> found;
-  auto keys = fs->ListDir(releases_dir);
-  if (!keys.ok()) return found;
-  for (const std::string& key : keys.ValueOrDie()) {
-    for (std::size_t id : ReleaseIdsIn(fs, releases_dir + "/" + key)) {
-      found.emplace_back(key, id);
-    }
-  }
-  return found;
-}
-
-/// Strategy keys with a "<key>.strategy" file under `strategies_dir`.
-std::vector<std::string> StrategyKeysUnder(FsOps* fs,
-                                           const std::string& strategies_dir) {
-  std::vector<std::string> found;
-  auto names = fs->ListDir(strategies_dir);
-  if (!names.ok()) return found;
-  for (const std::string& name : names.ValueOrDie()) {
-    const std::string key = StrategyKeyOf(name);
-    if (!key.empty()) found.push_back(key);
-  }
-  return found;
-}
 
 /// Decodes one release file for adoption: its provenance token and
 /// supersession field. A file that does not decode is adopted blind
@@ -624,12 +584,12 @@ void DecodeForAdoption(FsOps* fs, const std::string& path,
 /// Compacts one shard under its lock. See CompactStore's contract; the
 /// crash-safety argument is inline at each boundary.
 Status CompactShard(const StoreLayout& layout, std::size_t shard,
-                    const StoreOptions& options, FsOps* fs,
+                    bool flat_present, const StoreOptions& options, FsOps* fs,
                     CompactionReport* report) {
   static Counter* adopted = MetricsRegistry::Global().GetCounter(
       "dpmm.serve.store.compaction_adopted");
   TraceSpan span("CompactShard", "store");
-  Status st = EnsureDir(layout.ShardDir(shard));
+  Status st = EnsureDir(layout.ShardDir(shard), fs);
   if (!st.ok()) return st;
   auto shard_lock = FileLock::Acquire(layout.LockPath(shard), options.lock);
   if (!shard_lock.ok()) return shard_lock.status();
@@ -674,23 +634,24 @@ Status CompactShard(const StoreLayout& layout, std::size_t shard,
     adopted->Add(1);
   }
 
-  // Re-home the v1 flat artifacts this shard owns. Copies are byte-verbatim
-  // (ReadFile -> WriteViaRename) so a fully migrated store is byte-identical
-  // to its flat ancestor, file by file. Idempotent: a copy that already
+  // Re-home the flat v1 artifacts this shard owns. Copies are byte-verbatim
+  // (ReadFile -> WriteViaRename) so an upgraded store is byte-identical to
+  // its flat ancestor, file by file. Idempotent: a copy that already
   // happened (crash after copy, before the originals were removed) is
   // skipped.
   std::vector<std::string> flat_originals;
   std::set<std::string> dirs_to_sync;
-  if (layout.migrating()) {
-    for (const std::string& key :
-         StrategyKeysUnder(fs, layout.root() + "/strategies")) {
+  if (flat_present) {
+    const std::string flat_strategies = FlatStrategiesDir(layout.root());
+    const std::string flat_releases = FlatReleasesDir(layout.root());
+    for (const std::string& key : StrategyKeysUnder(fs, flat_strategies)) {
       if (layout.ShardOf(key) != shard) continue;
-      const std::string flat_path = layout.FlatStrategyPath(key);
+      const std::string flat_path = flat_strategies + "/" + key + ".strategy";
       const std::string shard_path = layout.StrategyPath(key);
       if (!ExistsVia(fs, shard_path)) {
         auto bytes = fs->ReadFile(flat_path);
         if (!bytes.ok()) return bytes.status();
-        st = EnsureDir(shard_strategies);
+        st = EnsureDir(shard_strategies, fs);
         if (!st.ok()) return st;
         st = WriteViaRename(shard_path, bytes.ValueOrDie(), fs);
         if (!st.ok()) return st;
@@ -703,12 +664,12 @@ Status CompactShard(const StoreLayout& layout, std::size_t shard,
       flat_originals.push_back(flat_path);
     }
     std::vector<std::pair<std::string, std::size_t>> flat_files =
-        ReleaseFilesUnder(fs, layout.root() + "/releases");
+        ReleaseFilesUnder(fs, flat_releases);
     std::sort(flat_files.begin(), flat_files.end());
     for (const auto& [key, id] : flat_files) {
       if (layout.ShardOf(key) != shard) continue;
       const std::string flat_path =
-          layout.FlatReleaseDir(key) + "/" + IdName(id);
+          flat_releases + "/" + key + "/" + IdName(id);
       if (manifest.FindRelease(key, id) == nullptr) {
         std::string provenance;
         std::uint64_t supersedes_plus1 = 0;
@@ -722,7 +683,7 @@ Status CompactShard(const StoreLayout& layout, std::size_t shard,
       if (state != nullptr && state->live && !ExistsVia(fs, shard_path)) {
         auto bytes = fs->ReadFile(flat_path);
         if (!bytes.ok()) return bytes.status();
-        st = EnsureDir(layout.ReleaseDir(key));
+        st = EnsureDir(layout.ReleaseDir(key), fs);
         if (!st.ok()) return st;
         st = WriteViaRename(shard_path, bytes.ValueOrDie(), fs);
         if (!st.ok()) return st;
@@ -795,11 +756,9 @@ Result<StoreStat> StatStore(const std::string& root,
   if (!resolved.ok()) return resolved.status();
   const StoreLayout layout = std::move(resolved).ValueOrDie();
   StoreStat stat;
-  stat.sharded = layout.sharded();
   stat.num_shards = layout.num_shards();
-  stat.migrating = layout.migrating();
-  stat.flat_strategies = StrategyKeysUnder(fs, root + "/strategies").size();
-  stat.flat_releases = ReleaseFilesUnder(fs, root + "/releases").size();
+  stat.flat_strategies = StrategyKeysUnder(fs, FlatStrategiesDir(root)).size();
+  stat.flat_releases = ReleaseFilesUnder(fs, FlatReleasesDir(root)).size();
   for (std::size_t shard = 0; shard < layout.num_shards(); ++shard) {
     auto loaded = ShardManifest::Load(layout.ManifestPath(shard), fs);
     if (!loaded.ok()) return loaded.status();
@@ -826,20 +785,14 @@ Result<CompactionReport> CompactStore(const std::string& root,
   auto resolved = StoreLayout::Resolve(root, options.shards, fs);
   if (!resolved.ok()) return resolved.status();
   StoreLayout layout = std::move(resolved).ValueOrDie();
-  if (!layout.sharded()) {
-    return Status::InvalidArgument(
-        "store at " + root +
-        " is flat; pass --shards N to shard it as part of compaction");
-  }
+  const bool flat_present = FlatArtifactsPresent(root, fs);
   // Pin the shard count first: every artifact moved below must land under
   // a root that already declares its layout.
-  Status st = EnsureDir(root);
-  if (!st.ok()) return st;
-  st = layout.Persist(fs);
+  Status st = layout.Persist(fs);
   if (!st.ok()) return st;
   CompactionReport report;
   for (std::size_t shard = 0; shard < layout.num_shards(); ++shard) {
-    st = CompactShard(layout, shard, options, fs, &report);
+    st = CompactShard(layout, shard, flat_present, options, fs, &report);
     if (!st.ok()) return st;
   }
   static Counter* deleted = MetricsRegistry::Global().GetCounter(

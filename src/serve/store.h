@@ -1,23 +1,23 @@
 // On-disk artifact registry for the store-and-serve pipeline. Strategies are
 // keyed by the canonical (domain, workload) signature; releases hang off the
-// same key with a monotonically assigned numeric id. Two generations of
-// layout exist (serve/store_layout.h):
+// same key with a monotonically assigned numeric id. The layout
+// (serve/store_layout.h):
 //
-//   v1 (flat)     <root>/strategies/<key>.strategy
-//                 <root>/releases/<key>/<id>.release
+//   <root>/store.layout
+//   <root>/shard-<k>/strategies/<key>.strategy
+//   <root>/shard-<k>/releases/<key>/<id>.release
+//   <root>/shard-<k>/manifest.wal     live/superseded/tombstone
+//   <root>/shard-<k>/shard.lock       flock(2) writer exclusion
 //
-//   v2 (sharded)  <root>/store.layout
-//                 <root>/shard-<k>/strategies/<key>.strategy
-//                 <root>/shard-<k>/releases/<key>/<id>.release
-//                 <root>/shard-<k>/manifest.wal     live/superseded/tombstone
-//                 <root>/shard-<k>/shard.lock       flock(2) writer exclusion
+// plus <root>/ledger/<dataset-key>.ledger (serve/budget_ledger.h). Keys are
+// placed on shards by consistent hashing; a fresh root gets 1 shard.
+// Everything is plain files, so a store can be rsynced, inspected and
+// backed up with ordinary tools.
 //
-// plus <root>/ledger/<dataset-key>.ledger (serve/budget_ledger.h) in both.
-// Keys are placed on shards by consistent hashing; a sharded layout over a
-// root that still holds v1 files serves both (reads fall through to the
-// flat paths) until `dpmm_cli store compact` re-homes them. Everything is
-// plain files, so a store can be rsynced, inspected and backed up with
-// ordinary tools.
+// A root that still holds artifacts of the retired flat v1 layout
+// (<root>/strategies/, <root>/releases/) is refused by every store
+// operation with InvalidArgument until `dpmm_cli store compact` upgrades it
+// offline; CompactStore is the only reader of the flat paths.
 //
 // <key> is the 16-hex-digit FNV-1a hash of the signature; the signature
 // itself is stored inside every artifact and verified on load, so a hash
@@ -57,9 +57,12 @@ namespace serve {
 
 namespace internal {
 
-/// mkdir -p: creates every component of `path` (POSIX). Shared by the
-/// store and the budget ledger.
-[[nodiscard]] Status EnsureDir(const std::string& path);
+/// mkdir -p through `fs` (default: the real filesystem). Every directory
+/// this call creates has its parent fsynced before it returns, so the new
+/// entry survives a crash together with what is later written inside it;
+/// a directory that already exists costs one MakeDir and nothing more.
+/// Shared by the store and the budget ledger.
+[[nodiscard]] Status EnsureDir(const std::string& path, FsOps* fs = nullptr);
 
 /// Writes a file atomically *and durably*: temp file in the destination
 /// directory, fsync the temp file, rename over the target, fsync the
@@ -82,13 +85,12 @@ std::string CanonicalSignature(const std::string& workload_spec,
 /// The filename-safe store key of a signature (16 hex digits of FNV-1a 64).
 std::string StoreKey(const std::string& signature);
 
-/// How a store opens its root. The defaults reproduce the v1 behavior
-/// exactly: flat layout (unless the root is already pinned sharded), the
-/// real filesystem, modest caches.
+/// How a store opens its root. The defaults: the pinned shard count (1 on a
+/// fresh root), the real filesystem, modest caches.
 struct StoreOptions {
-  /// Shard count to open with. 0 = respect whatever the root already is
-  /// (pinned sharded or flat); a nonzero count shards a fresh/flat root on
-  /// first write, and conflicts with a different pinned count as
+  /// Shard count to open with. 0 = the count pinned in store.layout, or 1
+  /// on a fresh root; a nonzero count is pinned on a fresh root's first
+  /// write, and conflicts with a different pinned count as
   /// InvalidArgument.
   std::size_t shards = 0;
   /// Filesystem seam; nullptr = the real filesystem.
@@ -110,18 +112,17 @@ class StrategyStore {
 
   /// Persists the artifact under its signature's key (creating the store
   /// directories as needed) and refreshes the cache. Overwrites an existing
-  /// strategy for the same signature. On a sharded store the write lands in
-  /// the owning shard, under its lock, with a manifest record.
+  /// strategy for the same signature. The write lands in the owning shard,
+  /// under its lock, with a manifest record.
   [[nodiscard]] Status Put(const serialize::StrategyArtifact& artifact);
 
   /// Loads the strategy for a signature — from the cache while it stays
-  /// hot. NotFound when no strategy is stored for it. On a migrating store
-  /// a shard miss falls through to the flat v1 path.
+  /// hot. NotFound when no strategy is stored for it.
   [[nodiscard]] Result<std::shared_ptr<const serialize::StrategyArtifact>> Get(
       const std::string& signature);
 
   /// True when a strategy file exists for the signature (no decode).
-  bool Contains(const std::string& signature) const;
+  [[nodiscard]] Result<bool> Contains(const std::string& signature) const;
 
   std::size_t cache_size() const;
   std::uint64_t cache_evictions() const;
@@ -158,28 +159,29 @@ class ReleaseStore {
   const std::string& root() const { return root_; }
 
   /// Persists the release under the next free id for its signature and
-  /// returns that id. On a sharded store the put happens under the owning
-  /// shard's lock and appends a manifest record; when a live release with
-  /// the same (signature, dataset, batch slot) provenance exists, the new
-  /// release is recorded as superseding it (the old file stays readable
-  /// until the next compaction).
+  /// returns that id. The put happens under the owning shard's lock and
+  /// appends a manifest record; when a live release with the same
+  /// (signature, dataset, batch slot) provenance exists, the new release is
+  /// recorded as superseding it (the old file stays readable until the next
+  /// compaction). DataLoss when the id space is exhausted (the highest id
+  /// seen is already the largest representable one) — ids never wrap.
   [[nodiscard]] Result<std::size_t> Put(const serialize::ReleaseArtifact& artifact);
 
   /// Loads one release — cached while hot (releases are immutable once
-  /// stored). On a migrating store a shard miss falls through to flat v1.
+  /// stored).
   [[nodiscard]] Result<std::shared_ptr<const serialize::ReleaseArtifact>> Get(
       const std::string& signature, std::size_t id);
 
   /// Ids stored for a signature, ascending (empty when none). Includes
   /// superseded/tombstoned ids until compaction removes their files.
-  std::vector<std::size_t> List(const std::string& signature) const;
+  [[nodiscard]] Result<std::vector<std::size_t>> List(
+      const std::string& signature) const;
 
   /// The highest stored id for a signature; NotFound when none exist.
   [[nodiscard]] Result<std::size_t> LatestId(const std::string& signature) const;
 
-  /// Marks one stored release dead in the shard manifest (sharded stores
-  /// only — a flat store has no manifest to record intent in). The file
-  /// stays readable until the next compaction deletes it.
+  /// Marks one stored release dead in the shard manifest. The file stays
+  /// readable until the next compaction deletes it.
   [[nodiscard]] Status Tombstone(const std::string& signature, std::size_t id);
 
   std::size_t cache_size() const;
@@ -187,7 +189,6 @@ class ReleaseStore {
 
  private:
   Status EnsureLayoutLocked() const DPMM_REQUIRES(mu_);
-  std::vector<std::size_t> ListDirIds(const std::string& dir) const;
 
   std::string root_;
   FsOps* fs_;
@@ -218,10 +219,9 @@ struct ShardStat {
 
 /// Whole-store occupancy.
 struct StoreStat {
-  bool sharded = false;
   std::size_t num_shards = 0;
-  /// Sharded but v1 flat artifacts still present (compaction re-homes them).
-  bool migrating = false;
+  /// Retired flat v1 artifacts waiting for `store compact` to re-home them
+  /// (while any exist, every store operation but compaction is refused).
   std::size_t flat_strategies = 0;
   std::size_t flat_releases = 0;
   std::vector<ShardStat> shards;
@@ -244,14 +244,14 @@ struct CompactionReport {
                                           const StoreOptions& options = {});
 
 /// Compacts every shard of the store at `root`: under each shard's lock,
-/// adopts manifest-unknown files as live, re-homes v1 flat artifacts owned
-/// by the shard, deletes superseded/tombstoned files (provably dead per the
-/// durable manifest), and publishes the live-only manifest snapshot via
-/// WriteViaRename — so a crash at any filesystem boundary loses no live
-/// artifact: before the snapshot rename the old log still replays, after it
-/// the snapshot is the log. Opening a flat root with options.shards > 0
-/// shards it and migrates everything — the v1 -> v2 upgrade path.
-/// InvalidArgument when the root is flat and no shard count was given.
+/// adopts manifest-unknown files as live, re-homes flat v1 artifacts owned
+/// by the shard byte-verbatim, deletes superseded/tombstoned files
+/// (provably dead per the durable manifest), and publishes the live-only
+/// manifest snapshot via WriteViaRename — so a crash at any filesystem
+/// boundary loses no live artifact: before the snapshot rename the old log
+/// still replays, after it the snapshot is the log. On a flat v1 root this
+/// is the upgrade (offline, idempotent: a crashed run is finished by the
+/// next); the shard count defaults to 1 like any fresh root.
 [[nodiscard]] Result<CompactionReport> CompactStore(
     const std::string& root, const StoreOptions& options = {});
 

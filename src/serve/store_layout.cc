@@ -4,7 +4,6 @@
 
 #include "serialize/artifact.h"
 #include "serve/store.h"
-#include "util/logging.h"
 #include "util/text.h"
 
 namespace dpmm {
@@ -18,48 +17,11 @@ std::string LayoutPath(const std::string& root) {
   return root + "/store.layout";
 }
 
-/// True when the v1 flat directories hold any artifact at all. Empty
-/// directories left behind by a completed migration do not count — for
-/// releases that means looking one level down, because compaction deletes
-/// the per-key files but has no FsOps primitive to remove the key
-/// directories themselves.
-Result<bool> FlatArtifactsPresent(const std::string& root, FsOps* fs) {
-  auto strategies = fs->ListDir(root + "/strategies");
-  if (!strategies.ok()) {
-    if (strategies.status().code() != StatusCode::kNotFound) {
-      return strategies.status();
-    }
-  } else if (!strategies.ValueOrDie().empty()) {
-    return true;
-  }
-  auto keys = fs->ListDir(root + "/releases");
-  if (!keys.ok()) {
-    if (keys.status().code() != StatusCode::kNotFound) return keys.status();
-    return false;
-  }
-  for (const std::string& key : keys.ValueOrDie()) {
-    auto files = fs->ListDir(root + "/releases/" + key);
-    if (!files.ok()) {
-      if (files.status().code() == StatusCode::kNotFound) continue;
-      // A non-directory entry (or unreadable dir) under /releases is stray
-      // flat-era content; counting it keeps the migration fallback active,
-      // which is the conservative direction.
-      return true;
-    }
-    if (!files.ValueOrDie().empty()) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 StoreLayout::StoreLayout(std::string root, std::size_t num_shards,
-                         bool flat_present, bool persisted)
-    : root_(std::move(root)),
-      num_shards_(num_shards),
-      flat_present_(flat_present),
-      persisted_(persisted) {
-  if (num_shards_ == 0) return;
+                         bool persisted)
+    : root_(std::move(root)), num_shards_(num_shards), persisted_(persisted) {
   ring_.reserve(num_shards_ * kVirtualPoints);
   for (std::size_t shard = 0; shard < num_shards_; ++shard) {
     for (std::size_t point = 0; point < kVirtualPoints; ++point) {
@@ -87,7 +49,7 @@ Result<StoreLayout> StoreLayout::Resolve(const std::string& root,
   auto bytes = fs->ReadFile(LayoutPath(root));
   if (bytes.ok()) {
     // Parse "# dpmm-store-layout 1\nshards N\n" strictly: a store.layout we
-    // cannot read exactly is damage, not a flat store.
+    // cannot read exactly is damage, not a fresh store.
     const std::string& text = bytes.ValueOrDie();
     std::size_t shards = 0;
     bool have_shards = false;
@@ -134,18 +96,12 @@ Result<StoreLayout> StoreLayout::Resolve(const std::string& root,
         " would silently re-home keys (re-shard via `store compact` on a "
         "fresh root instead)");
   }
-  const std::size_t shards = pinned != 0 ? pinned : requested_shards;
-  bool flat_present = false;
-  if (shards > 0) {
-    auto flat = FlatArtifactsPresent(root, fs);
-    if (!flat.ok()) return flat.status();
-    flat_present = flat.ValueOrDie();
-  }
-  return StoreLayout(root, shards, flat_present, persisted);
+  std::size_t shards = pinned != 0 ? pinned : requested_shards;
+  if (shards == 0) shards = 1;
+  return StoreLayout(root, shards, persisted);
 }
 
 std::size_t StoreLayout::ShardOf(const std::string& key) const {
-  DPMM_CHECK_MSG(sharded(), "ShardOf on a flat layout");
   const std::uint64_t h = serialize::Fnv1a64(key);
   // First ring point at or clockwise of the key's hash; wrap to the start
   // when the key hashes past the last point.
@@ -169,27 +125,17 @@ std::string StoreLayout::LockPath(std::size_t shard) const {
 }
 
 std::string StoreLayout::StrategyPath(const std::string& key) const {
-  if (!sharded()) return FlatStrategyPath(key);
   return ShardDir(ShardOf(key)) + "/strategies/" + key + ".strategy";
 }
 
 std::string StoreLayout::ReleaseDir(const std::string& key) const {
-  if (!sharded()) return FlatReleaseDir(key);
   return ShardDir(ShardOf(key)) + "/releases/" + key;
 }
 
-std::string StoreLayout::FlatStrategyPath(const std::string& key) const {
-  return root_ + "/strategies/" + key + ".strategy";
-}
-
-std::string StoreLayout::FlatReleaseDir(const std::string& key) const {
-  return root_ + "/releases/" + key;
-}
-
 Status StoreLayout::Persist(FsOps* fs) {
-  if (!sharded() || persisted_) return Status::OK();
+  if (persisted_) return Status::OK();
   if (fs == nullptr) fs = SystemFsOps();
-  Status st = internal::EnsureDir(root_);
+  Status st = internal::EnsureDir(root_, fs);
   if (!st.ok()) return st;
   std::string bytes = std::string(kLayoutHeader) + "\n" + "shards " +
                       std::to_string(num_shards_) + "\n";

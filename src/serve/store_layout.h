@@ -1,14 +1,11 @@
 // Placement policy for the artifact store: which directory every artifact
-// lives in. Two generations exist on disk:
+// lives in.
 //
-//   v1 (flat)     <root>/strategies/<key>.strategy
-//                 <root>/releases/<key>/<id>.release
-//
-//   v2 (sharded)  <root>/store.layout                   (this file's spec)
-//                 <root>/shard-<k>/strategies/<key>.strategy
-//                 <root>/shard-<k>/releases/<key>/<id>.release
-//                 <root>/shard-<k>/manifest.wal         (serve/wal framing)
-//                 <root>/shard-<k>/shard.lock           (serve/file_lock)
+//   <root>/store.layout                   (this file's spec)
+//   <root>/shard-<k>/strategies/<key>.strategy
+//   <root>/shard-<k>/releases/<key>/<id>.release
+//   <root>/shard-<k>/manifest.wal         (serve/wal framing)
+//   <root>/shard-<k>/shard.lock           (serve/file_lock)
 //
 // Keys are placed on shards by consistent hashing: every shard owns
 // kVirtualPoints pseudo-random points on a 64-bit hash ring and a key
@@ -17,16 +14,9 @@
 // the keys whose nearest point changed (~|M-N|/M of them) instead of
 // rehashing everything — the property that makes resharding a bounded
 // migration rather than a full rewrite. The shard count is pinned in
-// <root>/store.layout; opening with a conflicting --shards is an error, not
-// a silent re-map.
-//
-// A layout is *flat* (v1-compatible, no sharding, no manifests) unless a
-// store.layout file exists or the opener explicitly requests shards. A
-// sharded layout over a root that still holds flat v1 artifacts is
-// *migrating*: reads fall through to the flat paths, writes land in shards,
-// and a compaction pass (serve/store.h CompactStore) re-homes the v1 files.
-// A pure v1 store opened without a shard request stays byte-for-byte
-// untouched.
+// <root>/store.layout on the first write; a fresh root gets 1 shard unless
+// the opener asks for more, and opening with a conflicting --shards is an
+// error, not a silent re-map.
 #ifndef DPMM_SERVE_STORE_LAYOUT_H_
 #define DPMM_SERVE_STORE_LAYOUT_H_
 
@@ -53,52 +43,41 @@ class StoreLayout {
   static constexpr std::size_t kMaxShards = 4096;
 
   /// Resolves the layout of the store at `root`: the store.layout file
-  /// wins; otherwise `requested_shards` > 0 selects a sharded layout
-  /// (persisted on the first write via Persist); otherwise the layout is
-  /// flat v1. An explicit request conflicting with the pinned shard count
-  /// is InvalidArgument. Reads go through `fs` (default: the real
-  /// filesystem).
+  /// wins; otherwise `requested_shards`, or 1 when that is 0 (persisted on
+  /// the first write via Persist). An explicit request conflicting with the
+  /// pinned shard count is InvalidArgument. Reads go through `fs` (default:
+  /// the real filesystem).
   [[nodiscard]] static Result<StoreLayout> Resolve(const std::string& root,
                                                    std::size_t requested_shards,
                                                    FsOps* fs = nullptr);
 
   const std::string& root() const { return root_; }
-  bool sharded() const { return num_shards_ > 0; }
   std::size_t num_shards() const { return num_shards_; }
-  /// True when this layout is sharded but v1 flat artifacts were present at
-  /// resolve time: reads must fall through to the flat paths.
-  bool migrating() const { return sharded() && flat_present_; }
 
-  /// The consistent-hash shard owning a store key. Requires sharded().
+  /// The consistent-hash shard owning a store key.
   std::size_t ShardOf(const std::string& key) const;
 
   std::string ShardDir(std::size_t shard) const;
   std::string ManifestPath(std::size_t shard) const;
   std::string LockPath(std::size_t shard) const;
 
-  /// Primary artifact paths: in the owning shard when sharded, the flat v1
-  /// location otherwise.
+  /// Artifact paths in the owning shard.
   std::string StrategyPath(const std::string& key) const;
   std::string ReleaseDir(const std::string& key) const;
-  /// The v1 flat locations (the migration fallback on read misses).
-  std::string FlatStrategyPath(const std::string& key) const;
-  std::string FlatReleaseDir(const std::string& key) const;
 
-  /// Writes <root>/store.layout durably (WriteViaRename discipline) if this
-  /// layout is sharded and the file is not known to exist yet. Stores call
+  /// Writes <root>/store.layout durably (WriteViaRename discipline) if the
+  /// file is not known to exist yet. Stores call
   /// this on their first write so a read-only open of a missing store stays
   /// side-effect free.
   [[nodiscard]] Status Persist(FsOps* fs = nullptr);
 
  private:
-  StoreLayout(std::string root, std::size_t num_shards, bool flat_present,
-              bool persisted);
+  StoreLayout(std::string root, std::size_t num_shards, bool persisted);
 
   std::string root_;
-  std::size_t num_shards_ = 0;  // 0 = flat v1
-  bool flat_present_ = false;
+  std::size_t num_shards_ = 1;
   bool persisted_ = false;
-  /// Sorted ring of (point, shard) pairs; empty when flat.
+  /// Sorted ring of (point, shard) pairs.
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 };
 

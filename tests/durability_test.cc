@@ -7,6 +7,7 @@
 // This binary deliberately never touches the thread pool (no ParallelFor,
 // no AnswerEngine): the fork-based tests must run single-threaded so they
 // are exact under TSan, whose runtime aborts a multithreaded fork.
+#include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -14,7 +15,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -512,12 +515,12 @@ serialize::ReleaseArtifact StoreRelease(const std::string& signature,
   return rel;
 }
 
-/// A migrating store mid-upgrade, built with the real filesystem: a flat v1
-/// history (one strategy; releases d#0, d#1, d#2 as ids 0-2) under a
-/// sharded overlay (d#3 as id 3, plus a second generation of slot d#2 as
-/// id 4 — which makes flat id 2 provably dead at compaction's adoption
-/// step). Captures the bytes compaction must preserve.
-struct MigratingStore {
+/// A flat v1 root awaiting the upgrade, written directly with the current
+/// encoders (the retired layout has no production writer): one strategy;
+/// releases d#0, d#1, d#2, d#3 as ids 0-3, plus a second generation of
+/// slot d#2 as id 4 — which makes id 2 provably dead at compaction's
+/// adoption step. Captures the bytes compaction must preserve.
+struct FlatV1Store {
   std::string root;
   std::string sig;
   std::string key;
@@ -525,42 +528,27 @@ struct MigratingStore {
   std::map<std::size_t, std::string> live;  // id -> encoded release bytes
 };
 
-MigratingStore SeedMigratingStore() {
-  MigratingStore s;
+FlatV1Store SeedFlatV1Store() {
+  FlatV1Store s;
   s.root = FreshRoot();
   const Domain domain({2, 2});
   const serialize::StrategyArtifact strategy = StoreStrategy("mig", domain);
   s.sig = strategy.signature;
   s.key = serve::StoreKey(s.sig);
-  {
-    serve::StrategyStore sstore(s.root);
-    EXPECT_TRUE(sstore.Put(strategy).ok());
-    serve::ReleaseStore flat(s.root);
-    for (std::uint64_t b = 0; b < 3; ++b) {
-      auto id = flat.Put(StoreRelease(s.sig, domain, b, 10.0 * b));
-      EXPECT_TRUE(id.ok()) << id.status().ToString();
-    }
-  }
-  serve::StoreOptions sharded;
-  sharded.shards = 2;
-  serve::ReleaseStore overlay(s.root, sharded);
-  auto id3 = overlay.Put(StoreRelease(s.sig, domain, 3, 30.0));
-  EXPECT_TRUE(id3.ok() && id3.ValueOrDie() == 3u);
-  auto id4 = overlay.Put(StoreRelease(s.sig, domain, 2, 42.0));
-  EXPECT_TRUE(id4.ok() && id4.ValueOrDie() == 4u);
-
-  s.strategy_bytes =
-      ReadFileBytes(s.root + "/strategies/" + s.key + ".strategy");
   const std::string flat_dir = s.root + "/releases/" + s.key;
-  s.live[0] = ReadFileBytes(flat_dir + "/" + ReleaseName(0));
-  s.live[1] = ReadFileBytes(flat_dir + "/" + ReleaseName(1));
-  auto layout = serve::StoreLayout::Resolve(s.root, 0);
-  EXPECT_TRUE(layout.ok());
-  const std::string shard_dir = layout.ValueOrDie().ReleaseDir(s.key);
-  s.live[3] = ReadFileBytes(shard_dir + "/" + ReleaseName(3));
-  s.live[4] = ReadFileBytes(shard_dir + "/" + ReleaseName(4));
-  for (const auto& [id, bytes] : s.live) {
-    EXPECT_FALSE(bytes.empty()) << "seed failed to store id " << id;
+  EXPECT_EQ(::mkdir((s.root + "/strategies").c_str(), 0755), 0);
+  EXPECT_EQ(::mkdir((s.root + "/releases").c_str(), 0755), 0);
+  EXPECT_EQ(::mkdir(flat_dir.c_str(), 0755), 0);
+  s.strategy_bytes = serialize::EncodeStrategyArtifact(strategy);
+  WriteFileBytes(s.root + "/strategies/" + s.key + ".strategy",
+                 s.strategy_bytes);
+  const std::pair<std::uint64_t, double> slots[] = {
+      {0, 0.0}, {1, 10.0}, {2, 20.0}, {3, 30.0}, {2, 42.0}};
+  for (std::size_t id = 0; id < 5; ++id) {
+    const std::string bytes = serialize::EncodeReleaseArtifact(
+        StoreRelease(s.sig, domain, slots[id].first, slots[id].second));
+    WriteFileBytes(flat_dir + "/" + ReleaseName(id), bytes);
+    if (id != 2) s.live[id] = bytes;
   }
   return s;
 }
@@ -572,7 +560,7 @@ MigratingStore SeedMigratingStore() {
 /// converge to the fully compacted store with every live artifact byte-
 /// identical — a crash may repeat work, never lose a paid-for release.
 bool CompactionCrashTrial(long crash_after, bool torn_tail) {
-  const MigratingStore s = SeedMigratingStore();
+  const FlatV1Store s = SeedFlatV1Store();
 
   FaultInjectionFsOps fault(SystemFsOps());
   fault.set_crash_after(crash_after);
@@ -714,6 +702,105 @@ TEST(CrashMatrix, EveryBoundaryOfAShardedPut) {
       ASSERT_LT(k, 127) << "put op count exceeded the matrix bound";
     }
   }
+}
+
+// ---- Directory creation is durable
+
+/// Names of the subdirectories of `dir` (empty when it cannot be read).
+std::vector<std::string> Subdirs(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (struct dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    struct stat st;
+    if (name != "." && name != ".." &&
+        ::stat((dir + "/" + name).c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
+      names.push_back(name);
+    }
+  }
+  ::closedir(d);
+  return names;
+}
+
+/// Every directory below `root`, as root-prefixed paths.
+std::set<std::string> DirsUnder(const std::string& root) {
+  std::set<std::string> dirs;
+  for (const std::string& name : Subdirs(root)) {
+    const std::string path = root + "/" + name;
+    dirs.insert(path);
+    for (const std::string& below : DirsUnder(path)) dirs.insert(below);
+  }
+  return dirs;
+}
+
+/// Records, at every FsyncDir, which subdirectories the synced directory
+/// held at that moment: a directory whose path is recorded had its entry
+/// made durable after it was created.
+class DirSyncRecorder : public FaultInjectionFsOps {
+ public:
+  DirSyncRecorder() : FaultInjectionFsOps(SystemFsOps()) {}
+
+  Status FsyncDir(const std::string& dir) override {
+    for (const std::string& name : Subdirs(dir)) {
+      synced_.insert(dir + "/" + name);
+    }
+    return FaultInjectionFsOps::FsyncDir(dir);
+  }
+
+  bool EntrySynced(const std::string& path) const {
+    return synced_.count(path) > 0;
+  }
+
+ private:
+  std::set<std::string> synced_;
+};
+
+TEST(DirectoryDurability, EveryCreatedDirectoryIsFsyncedIntoItsParent) {
+  const std::string root = FreshRoot();
+  const Domain domain({2, 2});
+  const serialize::StrategyArtifact strategy = StoreStrategy("dirs", domain);
+  DirSyncRecorder recorder;
+  serve::StoreOptions store_options;
+  store_options.fs = &recorder;
+  LedgerOptions ledger_options;
+  ledger_options.fs = &recorder;
+
+  // Runs one acknowledged operation and checks that every directory it
+  // created was in its parent's listing at some FsyncDir of that parent.
+  const auto expect_durable_dirs = [&](const std::string& what,
+                                       const std::function<Status()>& op) {
+    const std::set<std::string> before = DirsUnder(root);
+    const Status st = op();
+    ASSERT_TRUE(st.ok()) << what << ": " << st.ToString();
+    std::size_t created = 0;
+    for (const std::string& dir : DirsUnder(root)) {
+      if (before.count(dir) > 0) continue;
+      ++created;
+      EXPECT_TRUE(recorder.EntrySynced(dir))
+          << what << " created " << dir
+          << " and acknowledged without fsyncing its parent";
+    }
+    EXPECT_GT(created, 0u) << what << " created no directory";
+  };
+
+  expect_durable_dirs("first strategy put on a fresh root", [&] {
+    return serve::StrategyStore(root, store_options).Put(strategy);
+  });
+  expect_durable_dirs("first release put of a fresh key", [&] {
+    return serve::ReleaseStore(root, store_options)
+        .Put(StoreRelease(strategy.signature, domain, 0, 1.0))
+        .status();
+  });
+  expect_durable_dirs("first charge of a fresh dataset", [&] {
+    return BudgetLedger(root, ledger_options)
+        .Charge("fresh", Eps(1.0), Eps(0.1))
+        .status();
+  });
+  expect_durable_dirs("first put under a not-yet-existing store root", [&] {
+    return serve::StrategyStore(root + "/nested/store", store_options)
+        .Put(strategy);
+  });
 }
 
 }  // namespace

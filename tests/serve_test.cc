@@ -19,6 +19,7 @@
 #include "serve/answer_engine.h"
 #include "serve/budget_ledger.h"
 #include "serve/store.h"
+#include "serve/store_layout.h"
 #include "util/rng.h"
 #include "workload/marginal_workloads.h"
 #include "workload/range_workloads.h"
@@ -142,9 +143,9 @@ TEST(StrategyStore, PutGetCachesAndDetectsMismatch) {
   const std::string root = FreshRoot();
   Fixture f = MakeFixture();
   StrategyStore store(root);
-  EXPECT_FALSE(store.Contains(f.strategy->signature));
+  EXPECT_FALSE(store.Contains(f.strategy->signature).ValueOrDie());
   ASSERT_TRUE(store.Put(*f.strategy).ok());
-  EXPECT_TRUE(store.Contains(f.strategy->signature));
+  EXPECT_TRUE(store.Contains(f.strategy->signature).ValueOrDie());
 
   auto got = store.Get(f.strategy->signature);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -158,12 +159,14 @@ TEST(StrategyStore, PutGetCachesAndDetectsMismatch) {
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 
-  // A renamed (or hash-colliding) file is detected, not served.
+  // A renamed (or hash-colliding) file is detected, not served. A fresh
+  // store has one shard, so both keys share its strategies directory.
+  const serve::StoreLayout layout =
+      serve::StoreLayout::Resolve(root, 0).ValueOrDie();
+  ASSERT_EQ(layout.num_shards(), 1u);
   const std::string src =
-      root + "/strategies/" + serve::StoreKey(f.strategy->signature) +
-      ".strategy";
-  const std::string dst =
-      root + "/strategies/" + serve::StoreKey("allrange@9,9") + ".strategy";
+      layout.StrategyPath(serve::StoreKey(f.strategy->signature));
+  const std::string dst = layout.StrategyPath(serve::StoreKey("allrange@9,9"));
   ASSERT_EQ(std::rename(src.c_str(), dst.c_str()), 0);
   StrategyStore fresh_store(root);
   auto wrong = fresh_store.Get("allrange@9,9");
@@ -176,7 +179,7 @@ TEST(ReleaseStore, AssignsMonotonicIdsAndListsThem) {
   const std::string root = FreshRoot();
   Fixture f = MakeFixture();
   ReleaseStore store(root);
-  EXPECT_TRUE(store.List(f.release->signature).empty());
+  EXPECT_TRUE(store.List(f.release->signature).ValueOrDie().empty());
   EXPECT_EQ(store.LatestId(f.release->signature).status().code(),
             StatusCode::kNotFound);
 
@@ -187,7 +190,7 @@ TEST(ReleaseStore, AssignsMonotonicIdsAndListsThem) {
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     EXPECT_EQ(id.ValueOrDie(), b);
   }
-  EXPECT_EQ(store.List(f.release->signature),
+  EXPECT_EQ(store.List(f.release->signature).ValueOrDie(),
             (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_EQ(store.LatestId(f.release->signature).ValueOrDie(), 2u);
 

@@ -1,15 +1,18 @@
 // Tests for the generation-based storage engine: consistent-hash shard
-// placement, flat-v1 read-through migration and its byte-identical
-// compaction, supersession and tombstone lifecycles at the 1000-release
-// scale, adoption of manifest-unknown files, and the bounded LRU caches
+// placement, the one-shard default, the refusal of flat v1 roots and their
+// byte-identical upgrade by compaction, release-id exhaustion, supersession
+// and tombstone lifecycles at the 1000-release scale, adoption of
+// manifest-unknown files, and the bounded LRU caches
 // (store loads and the answer engine's root cache) — including eviction
 // churn under concurrent readers, which is why this suite runs in the TSan
 // CI pass.
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -25,6 +28,8 @@
 #include "serve/answer_engine.h"
 #include "serve/store.h"
 #include "serve/store_layout.h"
+#include "serve/store_manifest.h"
+#include "serve/wal.h"
 #include "strategy/strategy.h"
 #include "util/lru_cache.h"
 
@@ -61,6 +66,39 @@ std::string ReadFileBytes(const std::string& path) {
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// Every regular file under `dir`, keyed by its path relative to `dir`,
+/// with its bytes — a whole-tree snapshot for "nothing changed" checks.
+void SnapshotTree(const std::string& dir, const std::string& rel,
+                  std::map<std::string, std::string>* out) {
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return;
+  while (struct dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name == "." || name == "..") continue;
+    const std::string path = dir + "/" + name;
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0) continue;
+    if (S_ISDIR(st.st_mode)) {
+      SnapshotTree(path, rel + name + "/", out);
+    } else {
+      (*out)[rel + name] = ReadFileBytes(path);
+    }
+  }
+  ::closedir(d);
+}
+
+std::map<std::string, std::string> SnapshotTree(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  SnapshotTree(dir, "", &files);
+  return files;
 }
 
 /// The release filename the store uses (store.cc IdName).
@@ -130,7 +168,6 @@ TEST(StoreLayoutTest, RingCoversEveryShardAndPlacementIsStable) {
   auto resolved = StoreLayout::Resolve(root, 4);
   ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
   const StoreLayout& layout = resolved.ValueOrDie();
-  ASSERT_TRUE(layout.sharded());
   EXPECT_EQ(layout.num_shards(), 4u);
 
   std::set<std::size_t> hit;
@@ -165,144 +202,220 @@ TEST(StoreLayoutTest, GrowthRehomesOnlyAFractionOfKeys) {
                               << "consistent-hash migration";
 }
 
-// ---- Flat v1 compatibility
+// ---- One layout: the one-shard default and the flat v1 upgrade
 
-TEST(ShardedStore, FlatStoreStaysFlatByDefault) {
+TEST(ShardedStore, FreshStoreGetsOneShard) {
   const std::string root = FreshRoot();
   const Domain domain({2, 4});
-  auto strategy = IdentityArtifact("flat", domain);
+  auto strategy = IdentityArtifact("fresh", domain);
   StrategyStore sstore(root);
   ASSERT_TRUE(sstore.Put(*strategy).ok());
   ReleaseStore rstore(root);
-  ASSERT_TRUE(
-      rstore.Put(SampleRelease(strategy->signature, domain, "d", 0, 1.0))
-          .ok());
+  auto id = rstore.Put(SampleRelease(strategy->signature, domain, "d", 0, 1.0));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(id.ValueOrDie(), 0u);
 
-  // No store.layout, no shard dirs: the v1 on-disk contract, untouched.
-  EXPECT_FALSE(FileExists(root + "/store.layout"));
-  EXPECT_FALSE(FileExists(root + "/shard-0"));
+  // The first write pins one shard; nothing lands at the flat v1 paths.
+  EXPECT_EQ(ReadFileBytes(root + "/store.layout"),
+            "# dpmm-store-layout 1\nshards 1\n");
   const std::string key = serve::StoreKey(strategy->signature);
-  EXPECT_TRUE(FileExists(root + "/strategies/" + key + ".strategy"));
-  EXPECT_TRUE(FileExists(root + "/releases/" + key + "/" + IdFile(0)));
+  EXPECT_TRUE(FileExists(root + "/shard-0/strategies/" + key + ".strategy"));
+  EXPECT_TRUE(FileExists(root + "/shard-0/releases/" + key + "/" + IdFile(0)));
+  EXPECT_FALSE(FileExists(root + "/strategies"));
+  EXPECT_FALSE(FileExists(root + "/releases"));
 
   auto stat = StatStore(root);
   ASSERT_TRUE(stat.ok()) << stat.status().ToString();
-  EXPECT_FALSE(stat.ValueOrDie().sharded);
-  EXPECT_EQ(stat.ValueOrDie().flat_strategies, 1u);
-  EXPECT_EQ(stat.ValueOrDie().flat_releases, 1u);
-
-  // Compacting a flat store needs an explicit shard count to upgrade to.
-  auto refused = CompactStore(root);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stat.ValueOrDie().num_shards, 1u);
+  EXPECT_EQ(Sum(stat.ValueOrDie()).strategies, 1u);
+  EXPECT_EQ(Sum(stat.ValueOrDie()).live, 1u);
 }
 
-TEST(ShardedStore, FlatV1MigratesReadThroughThenByteIdenticalCompaction) {
+/// Writes a flat v1 root directly — the retired layout has no production
+/// writer left — with the current encoders: one strategy and `releases`
+/// at ids 0, 1, ... under <root>/strategies and <root>/releases/<key>.
+void WriteFlatV1Root(const std::string& root, const StrategyArtifact& strategy,
+                     const std::vector<ReleaseArtifact>& releases) {
+  const std::string key = serve::StoreKey(strategy.signature);
+  ASSERT_EQ(::mkdir((root + "/strategies").c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir((root + "/releases").c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir((root + "/releases/" + key).c_str(), 0755), 0);
+  WriteFileBytes(root + "/strategies/" + key + ".strategy",
+                 EncodeStrategyArtifact(strategy));
+  for (std::size_t id = 0; id < releases.size(); ++id) {
+    WriteFileBytes(root + "/releases/" + key + "/" + IdFile(id),
+                   EncodeReleaseArtifact(releases[id]));
+  }
+}
+
+TEST(ShardedStore, FlatV1RootIsRefusedUntilCompactUpgradesIt) {
   const std::string root = FreshRoot();
   const Domain domain({2, 4});
-  auto strategy = IdentityArtifact("mig", domain);
+  auto strategy = IdentityArtifact("flat", domain);
   const std::string sig = strategy->signature;
   const std::string key = serve::StoreKey(sig);
-
-  // A pure v1 store: one strategy, three releases.
-  {
-    StrategyStore sstore(root);
-    ASSERT_TRUE(sstore.Put(*strategy).ok());
-    ReleaseStore rstore(root);
-    for (std::uint64_t b = 0; b < 3; ++b) {
-      auto id = rstore.Put(SampleRelease(sig, domain, "d", b, 10.0 * b));
-      ASSERT_TRUE(id.ok()) << id.status().ToString();
-      EXPECT_EQ(id.ValueOrDie(), b);
-    }
+  std::vector<ReleaseArtifact> releases;
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    releases.push_back(SampleRelease(sig, domain, "d", b, 10.0 * b));
   }
-  const std::string flat_strategy_bytes =
-      ReadFileBytes(root + "/strategies/" + key + ".strategy");
-  std::vector<std::string> flat_release_bytes;
+  WriteFlatV1Root(root, *strategy, releases);
+  // Leftovers of interrupted flat-era writes are not artifacts: compaction
+  // leaves them alone, so they must not keep the root refused after it.
+  WriteFileBytes(root + "/strategies/" + key + ".strategy.tmp", "torn");
+  WriteFileBytes(root + "/releases/" + key + "/put.1.0.claim", "torn");
+  const std::map<std::string, std::string> flat_tree = SnapshotTree(root);
+  ASSERT_EQ(flat_tree.size(), 6u);
+
+  // Every store operation fails closed, naming the upgrade command. Each
+  // runs on a fresh store object so none rides on another's cached status.
+  auto expect_refused = [&](const Status& st, const char* op) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << op;
+    EXPECT_NE(st.message().find("store compact --store " + root),
+              std::string::npos)
+        << op << ": " << st.ToString();
+  };
+  expect_refused(StrategyStore(root).Put(*strategy), "StrategyStore::Put");
+  expect_refused(StrategyStore(root).Get(sig).status(), "StrategyStore::Get");
+  expect_refused(StrategyStore(root).Contains(sig).status(),
+                 "StrategyStore::Contains");
+  expect_refused(ReleaseStore(root).Put(releases[0]).status(),
+                 "ReleaseStore::Put");
+  expect_refused(ReleaseStore(root).Get(sig, 0).status(), "ReleaseStore::Get");
+  expect_refused(ReleaseStore(root).List(sig).status(), "ReleaseStore::List");
+  expect_refused(ReleaseStore(root).LatestId(sig).status(),
+                 "ReleaseStore::LatestId");
+  expect_refused(ReleaseStore(root).Tombstone(sig, 0),
+                 "ReleaseStore::Tombstone");
+  StoreOptions four;
+  four.shards = 4;
+  expect_refused(ReleaseStore(root, four).Put(releases[0]).status(),
+                 "ReleaseStore::Put with --shards");
+  EXPECT_EQ(SnapshotTree(root), flat_tree) << "a refused operation wrote";
+
+  // Stat reads without writing and counts what awaits the upgrade.
+  auto stat = StatStore(root);
+  ASSERT_TRUE(stat.ok()) << stat.status().ToString();
+  EXPECT_EQ(stat.ValueOrDie().num_shards, 1u);
+  EXPECT_EQ(stat.ValueOrDie().flat_strategies, 1u);
+  EXPECT_EQ(stat.ValueOrDie().flat_releases, 3u);
+  EXPECT_EQ(SnapshotTree(root), flat_tree);
+
+  // Compaction with default options upgrades to one shard, re-homing every
+  // artifact byte-verbatim and removing the originals.
+  auto report = CompactStore(root);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.ValueOrDie().shards_compacted, 1u);
+  EXPECT_EQ(report.ValueOrDie().flat_migrated, 4u);  // 1 strategy + 3 releases
+  EXPECT_EQ(report.ValueOrDie().files_removed, 4u);  // the 4 flat originals
+  EXPECT_EQ(report.ValueOrDie().live_kept, 3u);
+
+  const StoreLayout layout = StoreLayout::Resolve(root, 0).ValueOrDie();
+  EXPECT_EQ(layout.num_shards(), 1u);
+  EXPECT_EQ(ReadFileBytes(layout.StrategyPath(key)),
+            flat_tree.at("strategies/" + key + ".strategy"));
   for (std::size_t id = 0; id < 3; ++id) {
-    flat_release_bytes.push_back(
-        ReadFileBytes(root + "/releases/" + key + "/" + IdFile(id)));
-    ASSERT_FALSE(flat_release_bytes.back().empty());
+    const std::string rel = "releases/" + key + "/" + IdFile(id);
+    EXPECT_FALSE(FileExists(root + "/" + rel));
+    EXPECT_EQ(ReadFileBytes(layout.ReleaseDir(key) + "/" + IdFile(id)),
+              flat_tree.at(rel));
   }
+  EXPECT_FALSE(FileExists(root + "/strategies/" + key + ".strategy"));
 
-  // Open sharded: every flat artifact is served through the fall-through
-  // paths, untouched on disk.
-  StoreOptions sharded;
-  sharded.shards = 4;
-  StrategyStore sstore(root, sharded);
-  EXPECT_TRUE(sstore.Contains(sig));
+  // The upgraded root serves the whole history and keeps allocating past
+  // it.
+  StrategyStore sstore(root);
+  EXPECT_TRUE(sstore.Contains(sig).ValueOrDie());
   auto got = sstore.Get(sig);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(EncodeStrategyArtifact(*got.ValueOrDie()), flat_strategy_bytes);
-
-  ReleaseStore rstore(root, sharded);
-  EXPECT_EQ(rstore.List(sig), (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(rstore.LatestId(sig).ValueOrDie(), 2u);
+  EXPECT_EQ(EncodeStrategyArtifact(*got.ValueOrDie()),
+            flat_tree.at("strategies/" + key + ".strategy"));
+  ReleaseStore rstore(root);
+  EXPECT_EQ(rstore.List(sig).ValueOrDie(), (std::vector<std::size_t>{0, 1, 2}));
   for (std::size_t id = 0; id < 3; ++id) {
     auto rel = rstore.Get(sig, id);
     ASSERT_TRUE(rel.ok()) << rel.status().ToString();
     EXPECT_EQ(EncodeReleaseArtifact(*rel.ValueOrDie()),
-              flat_release_bytes[id]);
+              flat_tree.at("releases/" + key + "/" + IdFile(id)));
   }
+  auto next = rstore.Put(SampleRelease(sig, domain, "d", 3, 30.0));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.ValueOrDie(), 3u);
 
-  // A new write lands sharded, with the id sequence continuing past the
-  // flat history (ids are never reused across the migration).
-  auto put = rstore.Put(SampleRelease(sig, domain, "d", 3, 30.0));
-  ASSERT_TRUE(put.ok()) << put.status().ToString();
-  EXPECT_EQ(put.ValueOrDie(), 3u);
-  ASSERT_TRUE(FileExists(root + "/store.layout"));
-
-  const StoreLayout layout = StoreLayout::Resolve(root, 0).ValueOrDie();
-  ASSERT_TRUE(layout.sharded());
-  EXPECT_TRUE(layout.migrating());
-  EXPECT_TRUE(FileExists(layout.ReleaseDir(key) + "/" + IdFile(3)));
-  const std::string sharded_release_bytes =
-      ReadFileBytes(layout.ReleaseDir(key) + "/" + IdFile(3));
-
-  auto stat = StatStore(root);
-  ASSERT_TRUE(stat.ok()) << stat.status().ToString();
-  EXPECT_TRUE(stat.ValueOrDie().sharded);
-  EXPECT_TRUE(stat.ValueOrDie().migrating);
-  EXPECT_EQ(stat.ValueOrDie().num_shards, 4u);
-  EXPECT_EQ(stat.ValueOrDie().flat_strategies, 1u);
-  EXPECT_EQ(stat.ValueOrDie().flat_releases, 3u);
-
-  // Compaction re-homes the flat history byte-verbatim and removes the
-  // originals; nothing was superseded, so nothing live is lost.
-  auto report = CompactStore(root);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.ValueOrDie().shards_compacted, 4u);
-  EXPECT_EQ(report.ValueOrDie().flat_migrated, 4u);  // 1 strategy + 3 releases
-  EXPECT_EQ(report.ValueOrDie().files_removed, 4u);  // the 4 flat originals
-  EXPECT_EQ(report.ValueOrDie().live_kept, 4u);
-
-  EXPECT_FALSE(FileExists(root + "/strategies/" + key + ".strategy"));
-  for (std::size_t id = 0; id < 3; ++id) {
-    EXPECT_FALSE(FileExists(root + "/releases/" + key + "/" + IdFile(id)));
-  }
-  EXPECT_EQ(ReadFileBytes(layout.StrategyPath(key)), flat_strategy_bytes);
-  for (std::size_t id = 0; id < 3; ++id) {
-    EXPECT_EQ(ReadFileBytes(layout.ReleaseDir(key) + "/" + IdFile(id)),
-              flat_release_bytes[id]);
-  }
-  EXPECT_EQ(ReadFileBytes(layout.ReleaseDir(key) + "/" + IdFile(3)),
-            sharded_release_bytes);
-
-  // A fresh open (no explicit shard request: store.layout pins it) serves
-  // the full migrated history.
-  StrategyStore sstore2(root);
-  EXPECT_TRUE(sstore2.Get(sig).ok());
-  ReleaseStore rstore2(root);
-  EXPECT_EQ(rstore2.List(sig), (std::vector<std::size_t>{0, 1, 2, 3}));
-  for (std::size_t id = 0; id < 4; ++id) {
-    EXPECT_TRUE(rstore2.Get(sig, id).ok()) << "id " << id;
-  }
   auto after = StatStore(root);
   ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after.ValueOrDie().migrating);
   EXPECT_EQ(after.ValueOrDie().flat_strategies, 0u);
   EXPECT_EQ(after.ValueOrDie().flat_releases, 0u);
   EXPECT_EQ(Sum(after.ValueOrDie()).live, 4u);
   EXPECT_EQ(Sum(after.ValueOrDie()).strategies, 1u);
+}
+
+// ---- Release-id exhaustion: ids never wrap onto a stored release
+
+constexpr std::size_t kMaxId = std::numeric_limits<std::size_t>::max();
+
+TEST(ShardedStore, StrayMaximalFilenameExhaustsIdsInsteadOfWrapping) {
+  const std::string root = FreshRoot();
+  const Domain domain({2, 4});
+  const std::string sig = serve::CanonicalSignature("wrap", domain);
+  const std::string key = serve::StoreKey(sig);
+  ReleaseStore rstore(root);
+  const ReleaseArtifact first = SampleRelease(sig, domain, "d", 0, 1.0);
+  ASSERT_EQ(rstore.Put(first).ValueOrDie(), 0u);
+
+  const StoreLayout layout = StoreLayout::Resolve(root, 0).ValueOrDie();
+  const std::string dir = layout.ReleaseDir(key);
+  // A name past the id range is not an id: 2^64 + 1 must not alias id 1.
+  WriteFileBytes(dir + "/18446744073709551617.release", "stray");
+  EXPECT_EQ(rstore.List(sig).ValueOrDie(), (std::vector<std::size_t>{0}));
+
+  // The largest id is still allocated once; its successor does not exist.
+  WriteFileBytes(dir + "/18446744073709551614.release", "stray");
+  auto last = rstore.Put(SampleRelease(sig, domain, "second", 0, 2.0));
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last.ValueOrDie(), kMaxId);
+  auto wrapped = rstore.Put(SampleRelease(sig, domain, "third", 0, 3.0));
+  ASSERT_FALSE(wrapped.ok()) << "allocated id " << wrapped.ValueOrDie();
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kDataLoss);
+
+  ReleaseStore fresh(root);
+  auto got = fresh.Get(sig, 0);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(EncodeReleaseArtifact(*got.ValueOrDie()),
+            EncodeReleaseArtifact(first));
+}
+
+TEST(ShardedStore, ManifestRecordAtTheMaximumIdExhaustsIdsInsteadOfWrapping) {
+  const std::string root = FreshRoot();
+  const Domain domain({2, 4});
+  const std::string sig = serve::CanonicalSignature("wrap-manifest", domain);
+  const std::string key = serve::StoreKey(sig);
+  ReleaseStore rstore(root);
+  const ReleaseArtifact first = SampleRelease(sig, domain, "d", 0, 1.0);
+  ASSERT_EQ(rstore.Put(first).ValueOrDie(), 0u);
+
+  // The manifest accepts any u64 id; record the largest one.
+  const StoreLayout layout = StoreLayout::Resolve(root, 0).ValueOrDie();
+  const std::string manifest_path = layout.ManifestPath(layout.ShardOf(key));
+  auto manifest = serve::ShardManifest::Load(manifest_path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  {
+    auto writer = serve::WalWriter::Open(
+        manifest_path, manifest.ValueOrDie().wal_valid_size());
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    serve::WalWriter w = std::move(writer).ValueOrDie();
+    ASSERT_TRUE(
+        w.Append(serve::ShardManifest::ReleaseRecord(key, kMaxId, 0, "x#0"))
+            .ok());
+    ASSERT_TRUE(w.Close().ok());
+  }
+
+  auto wrapped = rstore.Put(SampleRelease(sig, domain, "third", 0, 3.0));
+  ASSERT_FALSE(wrapped.ok()) << "allocated id " << wrapped.ValueOrDie();
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kDataLoss);
+  auto got = ReleaseStore(root).Get(sig, 0);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(EncodeReleaseArtifact(*got.ValueOrDie()),
+            EncodeReleaseArtifact(first));
 }
 
 TEST(ShardedStore, ConflictingPinnedShardCountIsRefused) {
@@ -411,7 +524,8 @@ TEST(ShardedStore, ThousandReleasesNinetyPercentSupersededCompactToLiveSet) {
   // with its exact payload; the superseded files are gone.
   ReleaseStore rstore(root);
   for (std::size_t s = 0; s < kSignatures; ++s) {
-    EXPECT_EQ(rstore.List(sigs[s]).size(), kDatasets) << "signature " << s;
+    EXPECT_EQ(rstore.List(sigs[s]).ValueOrDie().size(), kDatasets)
+        << "signature " << s;
     for (std::size_t d = 0; d < kDatasets; ++d) {
       const double expected_fill = live_fill[{s, d}];
       auto rel = rstore.Get(sigs[s], live_id[{s, d}]);
@@ -470,7 +584,7 @@ TEST(ShardedStore, TombstoneLifecycle) {
 
   ReleaseStore fresh(root);
   EXPECT_EQ(fresh.Get(sig, 1).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(fresh.List(sig), (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(fresh.List(sig).ValueOrDie(), (std::vector<std::size_t>{0, 2}));
   auto after = StatStore(root);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(Sum(after.ValueOrDie()).tombstoned, 0u);
@@ -480,19 +594,6 @@ TEST(ShardedStore, TombstoneLifecycle) {
   auto next = fresh.Put(SampleRelease(sig, domain, "d", 9, 99.0));
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next.ValueOrDie(), 3u);
-}
-
-TEST(ShardedStore, FlatStoreRefusesTombstones) {
-  const std::string root = FreshRoot();
-  const Domain domain({2, 4});
-  auto strategy = IdentityArtifact("flat-tomb", domain);
-  ReleaseStore rstore(root);
-  ASSERT_TRUE(
-      rstore.Put(SampleRelease(strategy->signature, domain, "d", 0, 1.0))
-          .ok());
-  auto refused = rstore.Tombstone(strategy->signature, 0);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
 }
 
 // ---- Adoption of manifest-unknown files
@@ -528,7 +629,7 @@ TEST(ShardedStore, CompactionAdoptsUnmanifestedFilesAsLive) {
   ASSERT_TRUE(stat.ok());
   EXPECT_EQ(Sum(stat.ValueOrDie()).unmanifested, 1u);
   // Listing and id allocation already see the file (directory truth).
-  EXPECT_EQ(rstore.List(sig), (std::vector<std::size_t>{0, 5}));
+  EXPECT_EQ(rstore.List(sig).ValueOrDie(), (std::vector<std::size_t>{0, 5}));
 
   auto report = CompactStore(root);
   ASSERT_TRUE(report.ok()) << report.status().ToString();

@@ -6,9 +6,10 @@ compiler have no way to express:
 
   raw-fs-call     src/serve/ must do filesystem mutation through the fs_ops
                   seam (fs_ops.cc is the one implementation site). A raw
-                  fopen/ofstream/::open/rename there bypasses the
-                  fault-injection harness and the fsync discipline, i.e. the
-                  crash-safety proof no longer covers that write.
+                  fopen/ofstream/::open/rename/::mkdir/::link/::unlink/
+                  ::rmdir there bypasses the fault-injection harness and the
+                  fsync discipline, i.e. the crash-safety proof no longer
+                  covers that write.
   unseeded-rng    std::rand / std::random_device are forbidden outside
                   util/rng: privacy noise must come from an explicitly seeded
                   Rng (reproducible from the recorded seed), and the one
@@ -153,7 +154,7 @@ def scan_line_rule(root, files, rule, line_re, message, active, suppressed):
 
 RAW_FS_RE = re.compile(
     r"\bfopen\s*\(|std::ofstream|\bofstream\b|::open\s*\(|::rename\s*\(|"
-    r"std::rename\b|\brename\s*\(")
+    r"std::rename\b|\brename\s*\(|::(?:mkdir|link|unlink|rmdir)\s*\(")
 
 
 def rule_raw_fs_call(root, active, suppressed):

@@ -105,8 +105,9 @@ echo "==== durability: crash matrix + multi-process races (ctest -L durability) 
 ctest --test-dir build --output-on-failure -L durability
 
 echo "==== store: sharded storage engine (ctest -L store) ===="
-# Consistent-hash placement, flat-v1 migration (byte-identical after
-# compaction), manifest supersession/tombstones at the 1000-release scale,
+# Consistent-hash placement, the one-shard default, the refusal of flat v1
+# roots and their byte-identical upgrade by compaction, release-id
+# exhaustion, manifest supersession/tombstones at the 1000-release scale,
 # the bounded LRU caches, and the compaction/put crash matrices.
 ctest --test-dir build --output-on-failure -L store
 

@@ -25,15 +25,11 @@ echo "== strict --engine parsing =="
 rc=0; "${CLI}" release --data "${DATA}" --workload fig1 --engine bogus \
   >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "--engine bogus must exit 2, got ${rc}"
-rc=0; "${CLI}" release --data "${DATA}" --workload fig1 --engine dense \
-  --dense 1 >/dev/null 2>&1 || rc=$?
-[ "${rc}" -eq 2 ] || fail "--engine + --dense together must exit 2, got ${rc}"
-
-echo "== deprecated --dense alias still releases =="
-"${CLI}" release --data "${DATA}" --workload fig1 --dense 1 \
-  --epsilon 0.5 --out "${WORK}/alias.csv" 2> "${WORK}/alias.err" \
-  || fail "release --dense 1 failed"
-grep -q "deprecated" "${WORK}/alias.err" || fail "missing deprecation note"
+rc=0; "${CLI}" release --data "${DATA}" --workload fig1 --dense 1 \
+  >/dev/null 2> "${WORK}/dense.err" || rc=$?
+[ "${rc}" -eq 2 ] || fail "the removed --dense option must exit 2, got ${rc}"
+grep -q "unknown option" "${WORK}/dense.err" \
+  || fail "--dense must be rejected as an unknown option: $(cat "${WORK}/dense.err")"
 
 echo "== dense design --save =="
 "${CLI}" design --domain 2,4 --workload fig1 --save "${STORE}" \
@@ -92,11 +88,12 @@ rc=0; "${CLI}" ledger show --store "${STORE}" --dataset fig1 \
 wait "${HOLD_PID}" || fail "ledger hold exited nonzero"
 
 echo "== crash mid-charge, then idempotent retry charges exactly once =="
-# DPMM_FS_CRASH_AFTER=2 kills the ledger's filesystem seam inside the WAL
-# append (after open + write, at the fsync): the charge is not acknowledged.
+# DPMM_FS_CRASH_AFTER=3 kills the ledger's filesystem seam inside the WAL
+# append (after the ledger-directory mkdir, open and write, at the fsync):
+# the charge is not acknowledged.
 # The retry with the same --charge-id must land the charge exactly once —
 # whether or not the interrupted append's record survived.
-rc=0; DPMM_FS_CRASH_AFTER=2 "${CLI}" release --data "${DATA}" \
+rc=0; DPMM_FS_CRASH_AFTER=3 "${CLI}" release --data "${DATA}" \
   --workload fig1 --store "${STORE}" --dataset crashy --epsilon 0.1 \
   --delta 1e-5 --total-epsilon 0.5 --total-delta 1e-4 \
   --charge-id retry-me >/dev/null 2>&1 || rc=$?
@@ -113,6 +110,35 @@ grep -q "^charges  1$" "${WORK}/crashy.out" \
   || fail "crashed+retried charge must appear exactly once: $(cat "${WORK}/crashy.out")"
 grep -q "^spent    eps=0.1" "${WORK}/crashy.out" \
   || fail "spent must reflect exactly one charge: $(cat "${WORK}/crashy.out")"
+
+echo "== a flat v1 root is refused until store compact upgrades it =="
+# Rebuild a one-strategy store in the retired flat layout by moving its
+# artifact to <root>/strategies and dropping the shard metadata.
+FLAT="${WORK}/flat"
+"${CLI}" design --domain 2,4 --workload fig1 --save "${FLAT}" >/dev/null \
+  || fail "design --save for the flat root failed"
+mkdir "${FLAT}/strategies"
+mv "${FLAT}"/shard-0/strategies/*.strategy "${FLAT}/strategies/"
+rm -rf "${FLAT}/shard-0" "${FLAT}/store.layout"
+rc=0; printf '*\nquit\n' | "${CLI}" serve --store "${FLAT}" --domain 2,4 \
+  --workload fig1 >/dev/null 2> "${WORK}/flat.err" || rc=$?
+[ "${rc}" -eq 2 ] || fail "serve on a flat v1 root must exit 2, got ${rc}"
+grep -q "store compact --store ${FLAT}" "${WORK}/flat.err" \
+  || fail "the refusal must name the upgrade: $(cat "${WORK}/flat.err")"
+"${CLI}" store stat --store "${FLAT}" > "${WORK}/flat_stat.out" \
+  || fail "store stat on a flat v1 root failed"
+grep -q "^flat v1  1 strategies, 0 releases" "${WORK}/flat_stat.out" \
+  || fail "store stat must count the flat artifacts: $(cat "${WORK}/flat_stat.out")"
+"${CLI}" store compact --store "${FLAT}" > "${WORK}/flat_compact.out" \
+  || fail "store compact on a flat v1 root failed"
+grep -q "compacted 1 shards: .* 1 flat artifacts re-homed" \
+  "${WORK}/flat_compact.out" \
+  || fail "compact must upgrade to 1 shard: $(cat "${WORK}/flat_compact.out")"
+"${CLI}" release --data "${DATA}" --workload fig1 --store "${FLAT}" \
+  --dataset flat --epsilon 0.1 > /dev/null 2> "${WORK}/flat_release.err" \
+  || fail "release on the upgraded root failed"
+grep -q "reusing stored strategy" "${WORK}/flat_release.err" \
+  || fail "the upgraded root must serve the re-homed strategy"
 
 echo "== strategy file round-trip through release --strategy =="
 "${CLI}" design --domain 2,4 --workload fig1 --out "${WORK}/fig1.strategy" \

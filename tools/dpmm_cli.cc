@@ -34,13 +34,14 @@
 //            and takes --stats-every N for a periodic summary line, and
 //            DPMM_TRACE=out.json writes a Chrome trace_event file.
 //   store    <stat|compact> --store DIR [--shards N]
-//            Storage-engine maintenance. stat prints the layout (flat vs
-//            sharded, migrating) and per-shard occupancy; compact rewrites
-//            every shard down to its live artifacts (adopting unmanifested
-//            files, re-homing v1 flat artifacts, deleting superseded and
-//            tombstoned files) under the shard locks. Compacting a v1 flat
-//            store with --shards N is the upgrade path to the sharded
-//            layout.
+//            Storage-engine maintenance. stat prints the shard count, any
+//            flat v1 artifacts awaiting the upgrade, and per-shard
+//            occupancy; compact rewrites every shard down to its live
+//            artifacts (adopting unmanifested files, re-homing flat v1
+//            artifacts, deleting superseded and tombstoned files) under the
+//            shard locks. A root that still holds flat v1 artifacts refuses
+//            every other store operation (exit 2) until compact upgrades
+//            it.
 //
 // The store-and-serve pipeline ("design once, serve many"):
 //   design  --save DIR   persists the designed implicit strategy under the
@@ -59,9 +60,9 @@
 // lifetime (eps, delta)) exits with the distinct code 3.
 // Commands that run a design accept --engine auto|dense|kron (auto = the
 // implicit pipeline whenever the workload has Kronecker eigenstructure,
-// dense otherwise; --dense B is a deprecated alias), --solver
-// ascent|fista|lbfgs and --gap-tol G; release output reports the engine,
-// the achieved duality gap and the iteration count.
+// dense otherwise), --solver ascent|fista|lbfgs and --gap-tol G; release
+// output reports the engine, the achieved duality gap and the iteration
+// count.
 //
 // Workload specs: allrange | cdf | marginals:K | rangemarginals:K | fig1
 // Histogram CSV format: see data::SaveCsv (header "# domain: d1,d2,...").
@@ -146,13 +147,13 @@ const std::map<std::string, std::set<std::string>>& KnownOptions() {
         "shards"}},
       {"release",
        {"data", "workload", "epsilon", "delta", "seed", "strategy", "out",
-        "engine", "dense", "batch", "solver", "gap-tol", "store", "dataset",
+        "engine", "batch", "solver", "gap-tol", "store", "dataset",
         "total-epsilon", "total-delta", "lock-timeout-ms", "charge-id",
         "shards"}},
       {"ledger", {"store", "dataset", "lock-timeout-ms", "hold-ms"}},
       {"synth",
        {"data", "workload", "epsilon", "delta", "seed", "strategy", "out",
-        "engine", "dense", "solver", "gap-tol"}},
+        "engine", "solver", "gap-tol"}},
       {"serve",
        {"store", "domain", "workload", "release", "shards", "stats-every"}},
       {"store", {"store", "shards", "lock-timeout-ms"}},
@@ -364,43 +365,17 @@ bool ParseSolverOptions(const Args& args,
 }
 
 /// Engine selection for every design-running command: --engine
-/// auto|dense|kron (strict: anything else exits 2). --dense B survives as a
-/// deprecated alias (true = --engine dense, false = --engine auto) so old
-/// scripts keep working; passing both is a hard error rather than a silent
-/// precedence rule.
+/// auto|dense|kron (strict: anything else exits 2).
 bool ParseEngineOption(const Args& args, optimize::EngineSelection* engine) {
   const auto engine_it = args.options.find("engine");
-  const auto dense_it = args.options.find("dense");
-  if (engine_it != args.options.end() && dense_it != args.options.end()) {
-    std::fprintf(stderr,
-                 "--dense is a deprecated alias of --engine; pass only one\n");
+  if (engine_it == args.options.end()) return true;
+  const auto parsed = optimize::ParseEngineSelection(engine_it->second);
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "option --engine expects auto|dense|kron, got '%s'\n",
+                 engine_it->second.c_str());
     return false;
   }
-  if (engine_it != args.options.end()) {
-    const auto parsed = optimize::ParseEngineSelection(engine_it->second);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "option --engine expects auto|dense|kron, got '%s'\n",
-                   engine_it->second.c_str());
-      return false;
-    }
-    *engine = *parsed;
-    return true;
-  }
-  if (dense_it != args.options.end()) {
-    bool force_dense = false;
-    if (!ParseBool(dense_it->second, &force_dense)) {
-      std::fprintf(stderr,
-                   "option --dense expects a boolean (1/0/true/false), got "
-                   "'%s'\n",
-                   dense_it->second.c_str());
-      return false;
-    }
-    *engine = force_dense ? optimize::EngineSelection::kDense
-                          : optimize::EngineSelection::kAuto;
-    std::fprintf(stderr, "note: --dense is deprecated; use --engine %s\n",
-                 optimize::EngineSelectionName(*engine));
-  }
+  *engine = *parsed;
   return true;
 }
 
@@ -437,9 +412,9 @@ bool ParsePrivacy(const Args& args, PrivacyParams* privacy) {
 }
 
 /// --shards/--lock-timeout-ms for every artifact-store-touching command.
-/// 0 shards means "respect whatever the root already is" — a flat store
-/// stays flat, a pinned shard count is honored; a conflicting nonzero count
-/// is refused by StoreLayout::Resolve at open time.
+/// 0 shards means "the pinned shard count, or 1 on a fresh root"; a
+/// conflicting nonzero count is refused by StoreLayout::Resolve at open
+/// time.
 bool ParseStoreOptions(const Args& args, serve::StoreOptions* options) {
   unsigned long long shards = 0;
   if (!U64Opt(args, "shards", 0, &shards)) return false;
@@ -1218,17 +1193,10 @@ int CmdStore(const Args& args) {
       return FailureExitCode(stat.status());
     }
     const serve::StoreStat& s = stat.ValueOrDie();
-    if (!s.sharded) {
-      std::printf("layout   flat (v1)\n");
-      std::printf("strategies %zu\nreleases   %zu\n", s.flat_strategies,
-                  s.flat_releases);
-      return 0;
-    }
-    std::printf("layout   sharded, %zu shards%s\n", s.num_shards,
-                s.migrating ? " (migrating: v1 flat artifacts present)" : "");
-    if (s.migrating) {
-      std::printf("flat     %zu strategies, %zu releases awaiting "
-                  "re-homing\n",
+    std::printf("shards   %zu\n", s.num_shards);
+    if (s.flat_strategies + s.flat_releases > 0) {
+      std::printf("flat v1  %zu strategies, %zu releases awaiting `store "
+                  "compact`\n",
                   s.flat_strategies, s.flat_releases);
     }
     TablePrinter table({"shard", "strategies", "live", "superseded",
@@ -1316,8 +1284,7 @@ void Usage() {
                "                rides the implicit Kronecker pipeline when\n"
                "                the workload has one and the dense pipeline\n"
                "                otherwise; dense/kron force one (kron on an\n"
-               "                unstructured workload is an error). --dense B\n"
-               "                is a deprecated alias (true = --engine dense)\n"
+               "                unstructured workload is an error)\n"
                "                [--solver ascent|fista|lbfgs]  Program-1 dual\n"
                "                solver (lbfgs = FISTA warm start + projected\n"
                "                L-BFGS, reaches ~1e-10 gaps where ascent\n"
@@ -1346,7 +1313,7 @@ void Usage() {
                "                open the artifact store sharded across N\n"
                "                consistent-hash shard directories (pinned\n"
                "                at first write; a conflicting N is an\n"
-               "                error; 0/absent respects the store as-is)\n"
+               "                error; 0/absent = the pinned count, or 1)\n"
                "                [--charge-id ID]  release: idempotency key\n"
                "                for the ledger charge — retrying a crashed\n"
                "                run with the same id charges exactly once\n"
@@ -1373,13 +1340,14 @@ void Usage() {
                "                DPMM_TRACE=out.json writes a Chrome\n"
                "                trace_event file of the recorded spans\n"
                "store <stat|compact> --store DIR [--shards N]:\n"
-               "                stat: print the layout (flat/sharded/\n"
-               "                migrating) and per-shard live/superseded/\n"
-               "                tombstoned/unmanifested counts; compact:\n"
-               "                rewrite every shard down to its live\n"
-               "                artifacts under the shard locks, re-homing\n"
-               "                v1 flat artifacts (--shards N on a flat\n"
-               "                store is the v1 -> sharded upgrade)\n"
+               "                stat: print the shard count, flat v1\n"
+               "                artifacts awaiting the upgrade, and per-shard\n"
+               "                live/superseded/tombstoned/unmanifested\n"
+               "                counts; compact: rewrite every shard down to\n"
+               "                its live artifacts under the shard locks,\n"
+               "                re-homing flat v1 artifacts (the only\n"
+               "                operation a flat v1 root accepts: it is the\n"
+               "                offline upgrade)\n"
                "Unknown options, missing values, malformed numbers and\n"
                "out-of-range --solver/--gap-tol values are hard errors\n"
                "(exit 2). A release the budget ledger refuses exits 3; a\n"
